@@ -23,10 +23,10 @@ std::vector<RcuManager::Entry> RcuManager::Insert(Addr block,
   }
   if (entries_.size() >= capacity_) {
     evicted.push_back(entries_.front());
-    entries_.pop_front();
+    Unpark(entries_.begin());
     capacity_flushes_++;
   }
-  entries_.push_back({block, loc});
+  Park({block, loc});
   return evicted;
 }
 
@@ -44,7 +44,7 @@ bool RcuManager::Contains(Addr block) {
 void RcuManager::Remove(Addr block) {
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->block == block) {
-      entries_.erase(it);
+      Unpark(it);
       return;
     }
   }
@@ -55,7 +55,7 @@ std::vector<RcuManager::Entry> RcuManager::MatchIndex(const DramAddress& loc) {
   for (auto it = entries_.begin(); it != entries_.end();) {
     if (it->loc.SameRowAs(loc)) {
       out.push_back(*it);
-      it = entries_.erase(it);
+      it = Unpark(it);
       merged_flushes_++;
     } else {
       ++it;
@@ -69,7 +69,7 @@ std::vector<RcuManager::Entry> RcuManager::PopChannel(std::uint32_t channel) {
   for (auto it = entries_.begin(); it != entries_.end();) {
     if (it->loc.channel == channel) {
       out.push_back(*it);
-      it = entries_.erase(it);
+      it = Unpark(it);
       idle_flushes_++;
     } else {
       ++it;
@@ -81,7 +81,20 @@ std::vector<RcuManager::Entry> RcuManager::PopChannel(std::uint32_t channel) {
 std::vector<RcuManager::Entry> RcuManager::PopAll() {
   std::vector<Entry> out(entries_.begin(), entries_.end());
   entries_.clear();
+  owned_.assign(owned_.size(), 0);
   return out;
+}
+
+void RcuManager::Park(const Entry& e) {
+  if (e.loc.channel >= owned_.size()) owned_.resize(e.loc.channel + 1, 0);
+  owned_[e.loc.channel]++;
+  entries_.push_back(e);
+}
+
+std::deque<RcuManager::Entry>::iterator RcuManager::Unpark(
+    std::deque<Entry>::iterator it) {
+  owned_[it->loc.channel]--;
+  return entries_.erase(it);
 }
 
 }  // namespace redcache

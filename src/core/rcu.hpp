@@ -50,10 +50,35 @@ class RcuManager {
   /// Condition 2: the channel went idle; pop all entries on it.
   std::vector<Entry> PopChannel(std::uint32_t channel);
 
+  /// Condition 2 wake test: true when a channel that owns a parked entry
+  /// has an empty transaction queue (`idle(channel)`). A channel with only
+  /// busy owners needs no wake: its queue can only empty during its own
+  /// device tick, which the controller's tick already runs before draining.
+  template <typename IdleFn>
+  bool IdleDrainDue(IdleFn&& idle) const {
+    for (std::uint32_t ch = 0; ch < owned_.size(); ++ch) {
+      if (owned_[ch] != 0 && idle(ch)) return true;
+    }
+    return false;
+  }
+
+  /// Condition 2 drain: in ascending channel order, pop the entries of
+  /// every owning channel whose queue is empty and pass them to `flush`.
+  template <typename IdleFn, typename FlushFn>
+  void DrainIdle(IdleFn&& idle, FlushFn&& flush) {
+    for (std::uint32_t ch = 0; ch < owned_.size(); ++ch) {
+      if (owned_[ch] != 0 && idle(ch)) flush(PopChannel(ch));
+    }
+  }
+
   /// Drain everything (end of simulation).
   std::vector<Entry> PopAll();
 
   std::size_t size() const { return entries_.size(); }
+  /// Entries parked on `channel`.
+  std::uint32_t parked(std::uint32_t channel) const {
+    return channel < owned_.size() ? owned_[channel] : 0;
+  }
   bool full() const { return entries_.size() >= capacity_; }
 
   std::uint64_t inserts() const { return inserts_; }
@@ -99,7 +124,8 @@ class RcuManager {
     r.Section("rcu");
     entries_.clear();
     const std::size_t n = r.SeqLen(32);
-    for (std::size_t i = 0; i < n; ++i) entries_.push_back(RestoreEntry(r));
+    owned_.clear();
+    for (std::size_t i = 0; i < n; ++i) Park(RestoreEntry(r));
     inserts_ = r.U64();
     updates_in_place_ = r.U64();
     searches_ = r.U64();
@@ -112,6 +138,12 @@ class RcuManager {
  private:
   std::size_t capacity_;
   std::deque<Entry> entries_;  ///< front = oldest
+  /// Parked entries per channel (derived from entries_, not serialized),
+  /// so the idle-drain test visits only channels that own entries.
+  std::vector<std::uint32_t> owned_;
+
+  void Park(const Entry& e);
+  std::deque<Entry>::iterator Unpark(std::deque<Entry>::iterator it);
 
   std::uint64_t inserts_ = 0;
   std::uint64_t updates_in_place_ = 0;

@@ -276,28 +276,20 @@ void AssocRedCacheController::PolicyTick(Cycle now) {
     FlushRcuEntries(pending_rcu_flushes_, now);
     pending_rcu_flushes_.clear();
   }
-  if (rcu_.size() != 0) {
-    for (std::uint32_t ch = 0; ch < hbm_->num_channels(); ++ch) {
-      if (hbm_->ChannelTransactionQueueEmpty(ch)) {
-        FlushRcuEntries(rcu_.PopChannel(ch), now);
-      }
-    }
-  }
+  rcu_.DrainIdle(HbmChannelIdle(),
+                 [&](const std::vector<RcuManager::Entry>& entries) {
+                   FlushRcuEntries(entries, now);
+                 });
 }
 
 Cycle AssocRedCacheController::PolicyWake(Cycle now) const {
   if (opt_.update_mode != RedCacheOptions::UpdateMode::kRcu) {
     return kNeverWake;
   }
-  // Same contract as RedCacheController::PolicyWake: parked updates with an
-  // idle channel available must keep the run loop visiting.
+  // Same contract as RedCacheController::PolicyWake: only a parked update
+  // whose own channel is idle keeps the run loop visiting.
   if (!pending_rcu_flushes_.empty()) return now + 1;
-  if (rcu_.size() != 0) {
-    for (std::uint32_t ch = 0; ch < hbm_->num_channels(); ++ch) {
-      if (hbm_->ChannelTransactionQueueEmpty(ch)) return now + 1;
-    }
-  }
-  return kNeverWake;
+  return rcu_.IdleDrainDue(HbmChannelIdle()) ? now + 1 : kNeverWake;
 }
 
 void AssocRedCacheController::ExportOwnStats(StatSet& stats) const {

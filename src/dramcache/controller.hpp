@@ -182,6 +182,14 @@ class ControllerBase : public MemController, protected ColumnCommandObserver {
     return static_cast<std::uint32_t>(&txn - txns_.data());
   }
 
+  /// RCU drain condition 2 as a predicate over HBM channel indices: the
+  /// channel's transaction queue is empty (see RcuManager::DrainIdle).
+  auto HbmChannelIdle() const {
+    return [hbm = hbm_.get()](std::uint32_t ch) {
+      return hbm->ChannelTransactionQueueEmpty(ch);
+    };
+  }
+
   // --- policy hooks -------------------------------------------------------
   /// Begin a new transaction (input already admitted).
   virtual void StartTxn(Txn& txn, Cycle now) = 0;

@@ -415,13 +415,10 @@ void RedCacheController::PolicyTick(Cycle now) {
     pending_rcu_flushes_.clear();
   }
   // Condition 2: drain parked updates into idle channels.
-  if (rcu_.size() != 0) {
-    for (std::uint32_t ch = 0; ch < hbm_->num_channels(); ++ch) {
-      if (hbm_->ChannelTransactionQueueEmpty(ch)) {
-        FlushRcuEntries(rcu_.PopChannel(ch), now, obs::kRcuFlushIdle);
-      }
-    }
-  }
+  rcu_.DrainIdle(HbmChannelIdle(),
+                 [&](const std::vector<RcuManager::Entry>& entries) {
+                   FlushRcuEntries(entries, now, obs::kRcuFlushIdle);
+                 });
 }
 
 Cycle RedCacheController::PolicyWake(Cycle now) const {
@@ -429,18 +426,15 @@ Cycle RedCacheController::PolicyWake(Cycle now) const {
     return kNeverWake;
   }
   // Updates parked after this tick's drain (RCU-served reads insert during
-  // admission) can flush on the very next cycle if a channel is idle; keep
-  // the run loop visiting while that condition holds. Merged flushes
+  // admission) flush on the very next cycle if their own channel is idle.
+  // An update parked on a busy channel needs no wake: that queue can only
+  // empty inside the channel's device tick, which is a device wake, and
+  // PolicyTick runs after it in the same controller tick. Merged flushes
   // (pending_rcu_flushes_) never persist across ticks — the observer fills
   // them during the device tick and PolicyTick drains them — but guard them
   // anyway so a future reordering cannot silently strand one.
   if (!pending_rcu_flushes_.empty()) return now + 1;
-  if (rcu_.size() != 0) {
-    for (std::uint32_t ch = 0; ch < hbm_->num_channels(); ++ch) {
-      if (hbm_->ChannelTransactionQueueEmpty(ch)) return now + 1;
-    }
-  }
-  return kNeverWake;
+  return rcu_.IdleDrainDue(HbmChannelIdle()) ? now + 1 : kNeverWake;
 }
 
 std::uint64_t RedCacheController::ResidentLines() const {

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "sim/event_core.hpp"
-
 namespace redcache {
 
 System::System(const HierarchyConfig& hierarchy_cfg,
@@ -26,6 +24,20 @@ System::System(const HierarchyConfig& hierarchy_cfg,
   hints_.assign(cores_.size(), 0);
   // A core is re-polled when its hint comes due or a completion arrived.
   poll_.assign(cores_.size(), 1);
+  RebuildCoreWakes();
+}
+
+void System::RebuildCoreWakes() {
+  core_wakes_.Reset(cores_.size());
+  cores_done_ = 0;
+  for (std::size_t i = 0; i < cores_.size(); ++i) {
+    if (cores_[i]->Finished()) {
+      core_wakes_.Set(i, WakeList::kNever);
+      cores_done_++;
+    } else {
+      core_wakes_.Set(i, poll_[i] != 0 ? 0 : hints_[i]);
+    }
+  }
 }
 
 void System::SetTenantAccounting(
@@ -100,28 +112,34 @@ RunResult System::Run(Cycle max_cycles) {
       assert(core < cores_.size());
       cores_[core]->OnMemComplete(c.tag, std::max(now, c.done));
       poll_[core] = 1;
+      core_wakes_.WakeNow(core);
     }
     completions.clear();
 
-    bool all_done = true;
-    Cycle next = Core::kWaiting;
-    for (std::size_t i = 0; i < cores_.size(); ++i) {
-      if (cores_[i]->Finished()) continue;
-      if (poll_[i] == 0 && hints_[i] > now) {
-        all_done = false;
-        next = std::min(next, hints_[i]);
-        continue;
+    // Only due cores are visited; a core that finished (inside Progress or
+    // on its last completion) parks at kNever and is counted once. The
+    // re-check after Progress matters: a core that retired its last
+    // reference this visit must not hold the loop open, or the exit test
+    // only passes one visit later — which under skip-ahead can be a
+    // refresh interval away and inflates exec_cycles past the true quiesce
+    // point.
+    if (!core_wakes_.NoneDue(now)) {
+      for (std::size_t i = 0; i < cores_.size(); ++i) {
+        if (!core_wakes_.Due(i, now)) continue;
+        if (!cores_[i]->Finished()) {
+          hints_[i] = cores_[i]->Progress(now);
+          poll_[i] = 0;
+        }
+        if (cores_[i]->Finished()) {
+          core_wakes_.Set(i, WakeList::kNever);
+          cores_done_++;
+        } else {
+          core_wakes_.Set(i, hints_[i]);
+        }
       }
-      hints_[i] = cores_[i]->Progress(now);
-      poll_[i] = 0;
-      // Re-check after Progress: a core that retired its last reference this
-      // visit must not hold the loop open, or the exit test only passes one
-      // visit later — which under skip-ahead can be a refresh interval away
-      // and inflates exec_cycles past the true quiesce point.
-      if (cores_[i]->Finished()) continue;
-      all_done = false;
-      next = std::min(next, hints_[i]);
     }
+    const bool all_done = cores_done_ == cores_.size();
+    Cycle next = core_wakes_.Min();
 
     if (all_done && wb_queue_.empty() && controller_->Idle()) {
       result.completed = true;
@@ -241,6 +259,7 @@ void System::Restore(ser::Reader& r) {
         "checkpoint tenant-accounting presence mismatch");
   }
   if (tenant_acct_ != nullptr) tenant_acct_->Restore(r);
+  RebuildCoreWakes();
   resumed_ = true;
 }
 

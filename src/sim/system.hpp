@@ -16,6 +16,7 @@
 #include "dramcache/controller.hpp"
 #include "energy/model.hpp"
 #include "obs/epoch_sampler.hpp"
+#include "sim/event_core.hpp"
 #include "sram/hierarchy.hpp"
 #include "workloads/trace.hpp"
 
@@ -124,6 +125,9 @@ class System : private MemoryPort {
   bool TrySubmitRead(Addr addr, std::uint64_t tag, Cycle now) override;
   void SubmitWriteback(Addr addr, Cycle now) override;
 
+  /// Derive core_wakes_/cores_done_ from the checkpointed hints_/poll_.
+  void RebuildCoreWakes();
+
   void ExportCoreStats(StatSet& stats) const;
   /// One cumulative snapshot for the epoch sampler (stats + gauges).
   StatSet TelemetrySnapshot(Cycle now) const;
@@ -148,6 +152,11 @@ class System : private MemoryPort {
   /// required for bit-identical resume.
   std::vector<Cycle> hints_;
   std::vector<char> poll_;
+  /// The same pacing as a WakeList the loop reads in O(1): a core is due at
+  /// 0 when polled (poll_ set), at its hint otherwise, and kNever once it
+  /// has finished (and is counted in cores_done_). Derived, not serialized.
+  WakeList core_wakes_;
+  std::size_t cores_done_ = 0;
   Cycle ctrl_wake_ = 0;
   /// Resume support: the cycle Run() enters the loop at, and whether the
   /// tick/skip counters were restored (and must not be reset by Run).

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace redcache {
 namespace {
 
@@ -134,6 +136,70 @@ TEST(Rcu, FullFlag) {
   (void)rcu.Insert(0x1, Loc(0, 0, 1));
   (void)rcu.Insert(0x2, Loc(0, 0, 2));
   EXPECT_TRUE(rcu.full());
+}
+
+TEST(Rcu, IdleDrainWakesOnlyForIdleOwners) {
+  RcuManager rcu(8);
+  (void)rcu.Insert(0x1, Loc(2, 0, 1));
+  (void)rcu.Insert(0x2, Loc(2, 1, 1));
+  EXPECT_EQ(rcu.parked(2), 2u);
+  EXPECT_EQ(rcu.parked(0), 0u);
+  EXPECT_EQ(rcu.parked(9), 0u);
+  // Channels 0 and 1 are idle but own nothing; channel 2 is busy.
+  const auto busy2 = [](std::uint32_t ch) { return ch != 2; };
+  EXPECT_FALSE(rcu.IdleDrainDue(busy2));
+  const auto all_idle = [](std::uint32_t) { return true; };
+  EXPECT_TRUE(rcu.IdleDrainDue(all_idle));
+}
+
+TEST(Rcu, DrainIdleFlushesIdleOwnersInChannelOrder) {
+  RcuManager rcu(8);
+  (void)rcu.Insert(0x1, Loc(3, 0, 1));
+  (void)rcu.Insert(0x2, Loc(1, 0, 1));
+  (void)rcu.Insert(0x3, Loc(2, 0, 1));  // busy channel: stays parked
+  (void)rcu.Insert(0x4, Loc(1, 2, 5));
+  std::vector<Addr> flushed;
+  rcu.DrainIdle([](std::uint32_t ch) { return ch != 2; },
+                [&](const std::vector<RcuManager::Entry>& entries) {
+                  for (const auto& e : entries) flushed.push_back(e.block);
+                });
+  EXPECT_EQ(flushed, (std::vector<Addr>{0x2, 0x4, 0x1}));
+  EXPECT_EQ(rcu.idle_flushes(), 3u);
+  EXPECT_EQ(rcu.size(), 1u);
+  EXPECT_EQ(rcu.parked(2), 1u);
+  EXPECT_EQ(rcu.parked(1), 0u);
+  EXPECT_FALSE(rcu.IdleDrainDue([](std::uint32_t ch) { return ch != 2; }));
+}
+
+TEST(Rcu, ParkedCountsFollowEveryRemovalPath) {
+  RcuManager rcu(2);
+  (void)rcu.Insert(0x1, Loc(0, 0, 1));
+  (void)rcu.Insert(0x2, Loc(1, 0, 1));
+  (void)rcu.Insert(0x3, Loc(1, 1, 1));  // capacity-evicts 0x1 (channel 0)
+  EXPECT_EQ(rcu.parked(0), 0u);
+  EXPECT_EQ(rcu.parked(1), 2u);
+  rcu.Remove(0x2);
+  EXPECT_EQ(rcu.parked(1), 1u);
+  ASSERT_EQ(rcu.MatchIndex(Loc(1, 1, 1)).size(), 1u);
+  EXPECT_EQ(rcu.parked(1), 0u);
+  (void)rcu.Insert(0x4, Loc(0, 0, 1));
+  (void)rcu.PopAll();
+  EXPECT_EQ(rcu.parked(0), 0u);
+  EXPECT_FALSE(rcu.IdleDrainDue([](std::uint32_t) { return true; }));
+}
+
+TEST(Rcu, RestoreRebuildsParkedCounts) {
+  RcuManager rcu(4);
+  (void)rcu.Insert(0x1, Loc(1, 0, 1));
+  (void)rcu.Insert(0x2, Loc(3, 0, 1));
+  ser::Writer w;
+  rcu.Snapshot(w);
+  RcuManager restored(4);
+  ser::Reader r(w.buffer().data(), w.buffer().size());
+  restored.Restore(r);
+  EXPECT_EQ(restored.parked(1), 1u);
+  EXPECT_EQ(restored.parked(3), 1u);
+  EXPECT_TRUE(restored.IdleDrainDue([](std::uint32_t ch) { return ch == 3; }));
 }
 
 }  // namespace

@@ -204,8 +204,8 @@ TEST_P(ControllerWakeConservative, MatchesPerCycleReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, ControllerWakeConservative,
-    ::testing::Values("Alloy", "Bear", "Red-Basic", "RedCache", "Banshee",
-                      "TicToc"),
+    ::testing::Values("Alloy", "Bear", "Red-Basic", "RedCache",
+                      "RedCache-4way", "Banshee", "TicToc"),
     [](const ::testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;
       name.erase(std::remove_if(name.begin(), name.end(),

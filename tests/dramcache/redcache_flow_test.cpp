@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "controller_harness.hpp"
 
 namespace redcache {
@@ -257,6 +259,75 @@ TEST(RedCacheFlow, RcuServesRepeatReadsAsBlockCache) {
   const StatSet s = h.Stats();
   EXPECT_GE(s.GetCounter("ctrl.rcu_served_reads"), 1u);
   EXPECT_EQ(h.completions.size(), reads + kBlocks);
+}
+
+TEST(RedCacheFlow, RcuParkedOnBusyChannelAddsNoWakeAndDrainsWhenItEmpties) {
+  auto owned = Make(NoAlphaOptions());
+  RedCacheController& ctrl = *owned;
+  const RcuManager& rcu = ctrl.rcu();
+  const DramSystem& hbm = *ctrl.hbm();
+  const DramSystem& mm = *ctrl.mainmem();
+  ControllerHarness h(std::move(owned));
+  ASSERT_GE(hbm.num_channels(), 2u);
+
+  // Blocks one channel-stride apart share HBM channel 0 (the mapper
+  // interleaves channels on the low block bits); warm them into the cache.
+  const Addr stride = Addr{hbm.num_channels()} * kBlockBytes;
+  constexpr int kBlocks = 16;  // below the 32-entry RCU: no capacity flush
+  const auto block = [&](int i) { return 0x40000 + i * stride; };
+  for (int i = 0; i < kBlocks; ++i) {
+    ASSERT_EQ(hbm.ChannelOf(block(i) % (1_MiB)), 0u);
+    h.Read(block(i));
+  }
+  h.RunToIdle();
+  ASSERT_EQ(rcu.size(), 0u);
+
+  // Re-read them all at once: every probe hits and queues on channel 0, so
+  // the early hits park behind later probes while the other channels idle.
+  // Channel 0's queue empties on the visit its last probe read issues.
+  const std::uint64_t reads_before = hbm.channel_counters(0).read_bursts;
+  const auto probes_issued = [&] {
+    return hbm.channel_counters(0).read_bursts - reads_before;
+  };
+  Cycle now = h.now();
+  for (int i = 0; i < kBlocks; ++i) {
+    ASSERT_TRUE(ctrl.CanAcceptRead());
+    ctrl.SubmitRead(block(i), 1000 + i, now);
+  }
+  int quiet_visits = 0;  // parked on a busy channel, next visit beyond now+1
+  bool drained = false;
+  while (!drained) {
+    ASSERT_LT(now, h.now() + 1'000'000) << "channel 0 never drained";
+    const std::uint32_t parked_before = rcu.parked(0);
+    const Cycle wake = ctrl.Tick(now);
+    ctrl.read_completions().clear();
+    if (probes_issued() < kBlocks) {
+      // Still busy: nothing parked on channel 0 may drain, and the parked
+      // updates add no wake of their own — pacing is exactly the devices'.
+      ASSERT_EQ(rcu.idle_flushes() + rcu.merged_flushes() +
+                    rcu.capacity_flushes(),
+                0u)
+          << "an update drained while its channel was busy, cycle " << now;
+      ASSERT_FALSE(hbm.ChannelTransactionQueueEmpty(0));
+      if (rcu.parked(0) > 0) {
+        EXPECT_EQ(wake,
+                  std::min(hbm.NextEventHint(now), mm.NextEventHint(now)))
+            << "cycle " << now;
+        if (wake > now + 1) ++quiet_visits;
+      }
+    } else {
+      // The last probe issued this visit: everything parked before it
+      // drains now, as idle flushes.
+      drained = true;
+      EXPECT_GT(parked_before, 0u);
+      EXPECT_EQ(rcu.parked(0), 0u);
+      EXPECT_GE(rcu.idle_flushes(), parked_before);
+      EXPECT_EQ(rcu.merged_flushes(), 0u);
+      EXPECT_EQ(rcu.capacity_flushes(), 0u);
+    }
+    now = std::max(now + 1, wake);
+  }
+  EXPECT_GT(quiet_visits, 0) << "a parked update still polls every cycle";
 }
 
 // --- Bypass-on-refresh ------------------------------------------------------

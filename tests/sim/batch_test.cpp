@@ -24,6 +24,15 @@
 namespace redcache {
 namespace {
 
+/// Batch options for `jobs` workers with progress output off.
+BatchOptions QuietBatch(unsigned jobs, const std::string& label = "t") {
+  BatchOptions opts;
+  opts.jobs = jobs;
+  opts.progress = false;
+  opts.label = label;
+  return opts;
+}
+
 // Serialize everything a figure could print from a RunResult so "identical"
 // means byte-identical output, not just matching headline cycles.
 std::string Serialize(const RunResult& r) {
@@ -87,10 +96,10 @@ TEST(Batch, RunCellsMatchesRunBatchAndSharesDuplicates) {
   s.ignore_env_scale = true;
   s.seed = 11;
 
-  const auto direct = RunBatch({s}, BatchOptions{1, false, "t"});
+  const auto direct = RunBatch({s}, QuietBatch(1));
 
   CellSpec cell{s, ""};
-  BatchOptions opts{4, false, "t"};
+  BatchOptions opts = QuietBatch(4);
   const auto cached = RunCells({cell, cell, cell}, opts);
   ASSERT_EQ(cached.size(), 3u);
   EXPECT_EQ(Serialize(cached[0]), Serialize(direct[0]));
@@ -366,9 +375,9 @@ TEST(Batch, WorkerExceptionsPropagateToCaller) {
   }
   specs[2].workload = "NO_SUCH_WORKLOAD";
 
-  BatchOptions par{4, false, "t"};
+  BatchOptions par = QuietBatch(4);
   EXPECT_THROW(RunBatch(specs, par), std::invalid_argument);
-  BatchOptions serial{1, false, "t"};
+  BatchOptions serial = QuietBatch(1);
   EXPECT_THROW(RunBatch(specs, serial), std::invalid_argument);
 
   EXPECT_THROW(ParallelFor(64, 8,
@@ -488,7 +497,7 @@ TEST(Batch, RunCellsFillsBatchReport) {
   CellSpec b{s2, "report_b"};
 
   BatchReport report;
-  BatchOptions opts{1, false, "report-test"};
+  BatchOptions opts = QuietBatch(1, "report-test");
   opts.report = &report;
   // Serial execution: the duplicate in slot 1 is guaranteed a memo hit.
   const auto results = RunCells({a, a, b}, opts);

@@ -33,9 +33,10 @@ using Param = std::tuple<std::string, std::string>;
 class NoSkipDifferential : public ::testing::TestWithParam<Param> {};
 
 // Recorded skip-ahead economics: cycles_skipped per differential cell as
-// measured before the SoA timing-core refactor (PR 7). The refactor tightened
-// NextEventHint, so skipping must never get *worse* than these floors —
-// a decrease means a wake hint regressed to "poll every slot" somewhere.
+// measured before the SoA timing-core refactor (DESIGN.md section 12); the
+// RedCache-4way floors were recorded with the precise RCU idle-drain wake.
+// Skipping must never get *worse* than these floors — a decrease means a
+// wake hint regressed to "poll every slot" somewhere.
 // Regenerate (intentional pacing changes only) with
 //   REDCACHE_UPDATE_SKIP_BASELINE=1 ./build/tests/sim/sim_tests
 //     --gtest_filter='SkipBaseline.Regenerate'
@@ -43,7 +44,8 @@ std::string SkipBaselinePath() { return REDCACHE_SKIP_BASELINE_FILE; }
 
 const std::vector<std::string>& BaselinePolicies() {
   static const std::vector<std::string> kPolicies = {"Alloy", "Bear",
-                                                     "RedCache"};
+                                                     "RedCache",
+                                                     "RedCache-4way"};
   return kPolicies;
 }
 
@@ -133,10 +135,33 @@ TEST(SkipBaseline, Regenerate) {
               SkipBaselinePath().c_str());
 }
 
+// Pacing ceiling on a loaded cell. The skip floors above run at scale 0.02,
+// where no HBM channel stays busy long enough for parked RCU updates to
+// matter. LU at scale 0.25 — the smallest scale at which it loads the cache
+// — keeps updates parked behind busy channels; a wake that polls while any
+// channel is idle instead of while an owning channel is idle shows up here
+// as ticks (the any-idle-channel wake took 2.78M for RedCache and 5.10M for
+// the 4-way; the precise wake takes 2.33M and 2.28M).
+TEST(PacingCeiling, LoadedLuRedCacheFamily) {
+  for (const std::string policy : {"RedCache", "RedCache-4way"}) {
+    RunSpec spec;
+    spec.policy = policy;
+    spec.workload = "LU";
+    spec.scale = 0.25;
+    spec.ignore_env_scale = true;
+    spec.preset = EvalPreset();
+    const RunResult r = RunOne(spec);
+    ASSERT_TRUE(r.completed) << policy;
+    EXPECT_LT(r.ticks_executed, 2'500'000u)
+        << policy << " on LU: the run loop visits more than it must";
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     TableII, NoSkipDifferential,
     ::testing::Combine(::testing::Values("Alloy", "Bear", "RedCache",
-                                         "Banshee", "TicToc"),
+                                         "RedCache-4way", "Banshee",
+                                         "TicToc"),
                        ::testing::ValuesIn(WorkloadLabels())),
     [](const ::testing::TestParamInfo<Param>& info) {
       std::string name = std::get<0>(info.param) + "_" +
