@@ -105,8 +105,41 @@ void Histogram::Clear() {
   weighted_sum_ = 0.0;
 }
 
+std::uint32_t CounterIds::Intern(const std::string& name) {
+  const auto [it, inserted] = index_.try_emplace(name, size());
+  if (inserted) names_.push_back(name);
+  return it->second;
+}
+
+std::uint32_t CounterIds::Find(const std::string& name) const {
+  const auto it = index_.find(name);
+  return it == index_.end() ? kNone : it->second;
+}
+
 std::uint64_t& StatSet::Counter(const std::string& name) {
+  if (ids_ != nullptr) return CaptureCounter(name);
   return counters_[name];
+}
+
+void StatSet::BeginCapture(CounterIds& ids) {
+  ids_ = &ids;
+  next_id_ = 0;
+  std::fill(present_.begin(), present_.end(), std::uint8_t{0});
+}
+
+std::uint64_t& StatSet::CaptureCounter(const std::string& name) {
+  std::uint32_t id = next_id_;
+  if (id >= ids_->size() || ids_->name(id) != name) id = ids_->Intern(name);
+  next_id_ = id + 1;
+  if (id >= values_.size()) {
+    values_.resize(ids_->size(), 0);
+    present_.resize(ids_->size(), 0);
+  }
+  if (present_[id] == 0) {
+    present_[id] = 1;
+    values_[id] = 0;  // a first write starts from zero, like a new map key
+  }
+  return values_[id];
 }
 
 std::uint64_t StatSet::GetCounter(const std::string& name) const {
@@ -152,6 +185,10 @@ void StatSet::Absorb(const StatSet& other, const std::string& prefix) {
 void StatSet::Clear() {
   counters_.clear();
   hists_.clear();
+  ids_ = nullptr;
+  next_id_ = 0;
+  values_.clear();
+  present_.clear();
 }
 
 void StatSet::Snapshot(ser::Writer& w) const {

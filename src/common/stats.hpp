@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/serialize.hpp"
@@ -61,6 +62,27 @@ class Histogram {
   double weighted_sum_ = 0.0;
 };
 
+/// Counter-ID registry: interns counter names to dense IDs, append-only, so
+/// a counter set that is filled the same way over and over (telemetry
+/// epochs) can live in flat arrays indexed by ID. See StatSet::BeginCapture.
+class CounterIds {
+ public:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  /// ID of `name`, assigning the next one on first sight.
+  std::uint32_t Intern(const std::string& name);
+  /// ID of `name`, or kNone.
+  std::uint32_t Find(const std::string& name) const;
+  std::uint32_t size() const {
+    return static_cast<std::uint32_t>(names_.size());
+  }
+  const std::string& name(std::uint32_t id) const { return names_[id]; }
+
+ private:
+  std::vector<std::string> names_;
+  std::unordered_map<std::string, std::uint32_t> index_;
+};
+
 /// Named counters + histograms. Cheap to copy (snapshot).
 class StatSet {
  public:
@@ -87,7 +109,22 @@ class StatSet {
   /// Merge `other` into this, adding counters and prefixing names.
   void Absorb(const StatSet& other, const std::string& prefix);
 
+  /// Drops every counter and histogram and leaves capture mode.
   void Clear();
+
+  /// Interned capture (telemetry epochs, DESIGN.md section 14): empties the
+  /// capture and routes every Counter() call to a flat value array indexed
+  /// by `ids` instead of the name map, which stays untouched. The exporters
+  /// make the same calls in the same order every epoch, so a name is first
+  /// checked against the ID after the previous call's (one string compare);
+  /// only a new or reordered name consults the registry. A capture is read
+  /// through captured_values()/captured_flags(), never counters().
+  void BeginCapture(CounterIds& ids);
+  const CounterIds* capture_ids() const { return ids_; }
+  /// Captured values by ID, meaningful where the flag is set (written since
+  /// BeginCapture). IDs interned after the last write may lie past the end.
+  const std::vector<std::uint64_t>& captured_values() const { return values_; }
+  const std::vector<std::uint8_t>& captured_flags() const { return present_; }
 
   std::string ToString() const;
 
@@ -98,8 +135,16 @@ class StatSet {
   void Restore(ser::Reader& r);
 
  private:
+  std::uint64_t& CaptureCounter(const std::string& name);
+
   std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, Histogram> hists_;
+  // Capture mode (ids_ set): values and written flags by ID, and the ID
+  // the next Counter() call is predicted to resolve to.
+  CounterIds* ids_ = nullptr;
+  std::uint32_t next_id_ = 0;
+  std::vector<std::uint64_t> values_;
+  std::vector<std::uint8_t> present_;
 };
 
 }  // namespace redcache

@@ -200,7 +200,7 @@ void DramChannel::RefreshBankSummary(std::uint32_t b) {
   bank_summary_[b] = (local << 3) | sel;
 }
 
-std::uint32_t DramChannel::SummarizeBanks(Cycle now, Cycle& min_ready) {
+void DramChannel::FillSummaryLut() {
   // Per-scan LUT: the bank-invariant completion of each selector's
   // max-chain, per rank. A bank's exact raw earliest-ready is then
   // max(local gate, lut[rank][sel]) — max distributes over the min across
@@ -222,6 +222,10 @@ std::uint32_t DramChannel::SummarizeBanks(Cycle now, Cycle& min_ready) {
     lut[6] = std::min(col_rd, col_wr);
     lut[7] = kNever;  // unused (pad)
   }
+}
+
+std::uint32_t DramChannel::SummarizeBanks(Cycle now, Cycle& min_ready) {
+  FillSummaryLut();
 
   // Branchless per-bank loop over the banks that actually have queued
   // demand: one packed load, one LUT load, max, compare. AlignUp commutes
@@ -263,6 +267,27 @@ std::uint32_t DramChannel::SummarizeBanks(Cycle now, Cycle& min_ready) {
     min_ready = std::min(min_ready, TimingLanes::AlignUp(raw_min));
   }
   return due;
+}
+
+Cycle DramChannel::FirstReady(Cycle at) {
+  FillSummaryLut();
+  // The pre-pass's max-chain without its due flags: a loaded queue usually
+  // has a bank due at `at`, and the walk stops at the first one.
+  Cycle raw_min = kNever;
+  const Cycle* lut = summary_lut_.data();
+  for (const std::uint32_t b : active_banks_) {
+    const std::uint64_t v = bank_summary_[b];
+    const Cycle raw =
+        std::max(static_cast<Cycle>(v >> 3), lut[rank_lut_base_[b] + (v & 7)]);
+    if (raw <= at) return at;
+    raw_min = std::min(raw_min, raw);
+  }
+  if (cont_slot_ != -1 && cont_row_ == lanes_.OpenRow(cont_bank_)) {
+    const Cycle cont_ready = lanes_.ContinuationReady(cont_bank_, cont_write_);
+    if (cont_ready <= at) return at;
+    raw_min = std::min(raw_min, cont_ready);
+  }
+  return raw_min == kNever ? kNever : TimingLanes::AlignUp(raw_min);
 }
 
 void DramChannel::IssueColumn(std::size_t i, Cycle now) {
@@ -423,7 +448,6 @@ bool DramChannel::MaybeRefresh(Cycle now, Cycle& min_ready) {
       continue;
     }
     lanes_.StartRefresh(r, now);
-    refresh_epoch_++;
     // StartRefresh raised the rank's bank activate gates by tRFC. Only
     // banks with queued demand need their packed summary recomputed — an
     // inactive bank's summary is never read before its next activation
@@ -467,14 +491,35 @@ void DramChannel::Tick(Cycle now, std::vector<DramCompletion>& done) {
 
   if (now % kCpuCyclesPerDramCycle != 0) return;
   if (now < next_cmd_slot_ || now < sleep_until_) return;
+  if (IssueNext(now)) SettleAfterIssue();
+}
 
+void DramChannel::SettleAfterIssue() {
+  // A command took this slot, so the next Tick that can act is at
+  // next_cmd_slot_ or later. Run that slot's pre-pass now: the lanes do not
+  // change before it, so the channel can sleep straight to the first cycle
+  // a bank is due instead of waking at the next slot to find nothing ready.
+  // Enqueue lowers the target itself for new arrivals; the time-driven scan
+  // decisions are refresh duty (refresh_wake_, still <= now after a refresh
+  // command) and anti-starvation (the head's boundary), folded in as in
+  // Enqueue.
+  const Cycle next = next_cmd_slot_;
+  Cycle wake = refresh_wake_;
+  if (!q_slot_.empty()) {
+    wake = std::min({wake, FirstReady(next),
+                     q_arrival_[0] + cfg_.controller.starvation_cycles + 1});
+  }
+  sleep_until_ = std::max(wake, next);
+}
+
+bool DramChannel::IssueNext(Cycle now) {
   Cycle min_ready = kNever;
-  if (MaybeRefresh(now, min_ready)) return;
+  if (MaybeRefresh(now, min_ready)) return true;
 
   const std::size_t q_size = q_slot_.size();
   if (q_size == 0) {
     sleep_until_ = min_ready == kNever ? now + cfg_.timing.tREFI : min_ready;
-    return;
+    return false;
   }
 
   const Cycle starve = cfg_.controller.starvation_cycles;
@@ -497,7 +542,7 @@ void DramChannel::Tick(Cycle now, std::vector<DramCompletion>& done) {
       } else {
         IssuePrecharge(q_bank_[0], now);
       }
-      return;
+      return true;
     }
     min_ready = std::min(min_ready, head_ready);
     // Fall through: serve other ready work while the starved head waits on
@@ -511,7 +556,7 @@ void DramChannel::Tick(Cycle now, std::vector<DramCompletion>& done) {
     sleep_until_ = min_ready == kNever
                        ? now + kCpuCyclesPerDramCycle
                        : std::max(min_ready, now + kCpuCyclesPerDramCycle);
-    return;
+    return false;
   }
 
   // Writes are posted: demand reads get priority until writes pile up past
@@ -539,7 +584,7 @@ void DramChannel::Tick(Cycle now, std::vector<DramCompletion>& done) {
       if (q_write_[i] == 0 || drain_writes) {
         // FR-FCFS: the oldest ready row-hit (read-first) wins.
         IssueColumn(i, now);
-        return;
+        return true;
       }
       if (write_pick == q_size) write_pick = i;
       continue;
@@ -559,7 +604,7 @@ void DramChannel::Tick(Cycle now, std::vector<DramCompletion>& done) {
 
   if (write_pick != q_size) {
     IssueColumn(write_pick, now);
-    return;
+    return true;
   }
   if (open_pick != q_size) {
     if (open_action == Action::kActivate) {
@@ -567,12 +612,13 @@ void DramChannel::Tick(Cycle now, std::vector<DramCompletion>& done) {
     } else {
       IssuePrecharge(q_bank_[open_pick], now);
     }
-    return;
+    return true;
   }
 
   sleep_until_ = min_ready == kNever
                      ? now + kCpuCyclesPerDramCycle
                      : std::max(min_ready, now + kCpuCyclesPerDramCycle);
+  return false;
 }
 
 void DramChannel::Snapshot(ser::Writer& w) const {
@@ -616,7 +662,9 @@ void DramChannel::Snapshot(ser::Writer& w) const {
   w.U64(next_cmd_slot_);
   w.U64(sleep_until_);
   w.U64(refresh_wake_);
-  w.U64(refresh_epoch_);
+  // Blob slot of the retired refresh epoch, which always equalled the
+  // refresh count; kept so the checkpoint format is unchanged.
+  w.U64(counters_.refreshes);
   w.I64(cont_slot_);
   w.U32(cont_bank_);
   w.U64(cont_row_);
@@ -703,7 +751,7 @@ void DramChannel::Restore(ser::Reader& r) {
   next_cmd_slot_ = r.U64();
   sleep_until_ = r.U64();
   refresh_wake_ = r.U64();
-  refresh_epoch_ = r.U64();
+  r.U64();  // retired refresh epoch (see Snapshot)
   cont_slot_ = static_cast<std::int32_t>(r.I64());
   cont_bank_ = r.U32();
   cont_row_ = r.U64();
@@ -743,36 +791,19 @@ void DramChannel::Restore(ser::Reader& r) {
     AddRowDemand(q_bank_[i], q_row_[i], q_write_[i] != 0);
   }
   for (const std::uint32_t bank : active_banks_) RefreshBankSummary(bank);
-  idle_hint_epoch_ = ~std::uint64_t{0};  // force the memo to recompute
 }
 
 Cycle DramChannel::NextEventHint(Cycle now) const {
-  Cycle next = pending_done_min_;
-  if (!q_slot_.empty()) {
-    // Exact, not conservative: commands issue only on DRAM command-slot
-    // boundaries and Tick returns on misalignment, so the poll term rounds
-    // up to the next slot — the cycles in between are provable no-ops.
-    next = std::min(next,
-                    std::max({AlignUp(now + 1), next_cmd_slot_, sleep_until_}));
-  } else {
-    // Idle: the only future work is refresh bookkeeping. The rank walk is
-    // memoized: its result is constant until `now` reaches it (refresh
-    // starts/ends never fall inside the window — the minimum over the very
-    // terms that bound them) or until a refresh starts, which bumps
-    // refresh_epoch_. A hint at or before `now` (refresh due but blocked)
-    // recomputes per call, exactly like an unmemoized walk.
-    if (idle_hint_epoch_ != refresh_epoch_ || now >= idle_hint_) {
-      Cycle h = kNever;
-      for (std::uint32_t r = 0; r < lanes_.num_ranks(); ++r) {
-        h = std::min(h, lanes_.Refreshing(r, now) ? lanes_.refresh_until(r)
-                                                  : lanes_.next_refresh(r));
-      }
-      idle_hint_ = h;
-      idle_hint_epoch_ = refresh_epoch_;
-    }
-    next = std::min(next, idle_hint_);
-  }
-  return next;
+  // Exact, not conservative: commands issue only on DRAM command-slot
+  // boundaries and Tick returns on misalignment, so the poll term rounds up
+  // to the next slot — the cycles in between are provable no-ops. Tick can
+  // act no earlier than the command bus frees and the sleep target passes;
+  // an idle channel's only work is refresh duty, which MaybeRefresh skips
+  // before refresh_wake_ (a due-but-blocked refresh included: its wake is
+  // the cycle the blocking bank frees, not the next slot).
+  Cycle wake = std::max({AlignUp(now + 1), next_cmd_slot_, sleep_until_});
+  if (q_slot_.empty()) wake = std::max(wake, refresh_wake_);
+  return std::min(pending_done_min_, wake);
 }
 
 }  // namespace redcache

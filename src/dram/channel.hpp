@@ -67,16 +67,18 @@ class DramChannel {
 
   const ChannelCounters& counters() const { return counters_; }
 
-  /// Earliest future cycle at which calling Tick could have an effect.
+  /// Earliest future cycle at which calling Tick could have an effect, once
+  /// the channel is done with `now` (ticked at `now`, or not due then) —
+  /// also right after an Enqueue that lands after that tick.
   Cycle NextEventHint(Cycle now) const;
 
-  /// Wake bound valid immediately after an Enqueue, before any tick: the
-  /// scheduler cannot act before both the command-bus slot frees and the
-  /// sleep target Enqueue just refreshed (Tick's early-out gates on both,
-  /// so no command can issue earlier by construction); pending data
-  /// deliveries are the only other effect. Unlike NextEventHint this may be
-  /// in the past ("due now") — the enqueue may precede this visit's device
-  /// tick, and the new request could issue at the current cycle.
+  /// Wake bound valid immediately after an Enqueue that precedes this
+  /// visit's device tick: the scheduler cannot act before both the
+  /// command-bus slot frees and the sleep target Enqueue just refreshed
+  /// (Tick's early-out gates on both, so no command can issue earlier by
+  /// construction); pending data deliveries are the only other effect.
+  /// Unlike NextEventHint this may be in the past ("due now"): the new
+  /// request could issue at the current cycle.
   Cycle EnqueueWake() const {
     return std::min(pending_done_min_, std::max(next_cmd_slot_, sleep_until_));
   }
@@ -84,8 +86,8 @@ class DramChannel {
   /// Checkpointing: timing lanes, the transaction queue with its slot pool
   /// (slot indices are identity — the continuation test compares them), the
   /// in-flight data, pacing state and counters. The derived scan state (row
-  /// demand, active-bank set, packed summaries, memoized idle hint) is
-  /// rebuilt from the restored queue.
+  /// demand, active-bank set, packed summaries) is rebuilt from the restored
+  /// queue.
   void Snapshot(ser::Writer& w) const;
   void Restore(ser::Reader& r);
 
@@ -116,12 +118,26 @@ class DramChannel {
   /// incrementally at mutation sites) combined with a per-scan LUT of the
   /// rank/shared terms — pure load / max / compare, no per-bank branches.
   std::uint32_t SummarizeBanks(Cycle now, Cycle& min_ready);
+  /// The rank/shared terms of the pre-pass, per rank (summary_lut_).
+  void FillSummaryLut();
+  /// The same per-bank earliest-ready over the queued banks, reduced to
+  /// one cycle: `at` when some bank (or the continuation) is due at `at`,
+  /// else the aligned earliest ready cycle (kNever with no demand).
+  Cycle FirstReady(Cycle at);
 
   /// Recompute bank_summary_[b] from the current demand and lane state.
   /// Must be called after any mutation that changes the bank's mode or its
   /// bank-local gate: commands on the bank, demand add/remove, refresh
   /// (raises act gates), and continuation hand-over.
   void RefreshBankSummary(std::uint32_t bank_idx);
+
+  /// One scheduling decision at command slot `now`: refresh duty, the
+  /// starved head, then FR-FCFS. Returns true when a command issued; when
+  /// none could, sleep_until_ is already the exact next issue cycle.
+  bool IssueNext(Cycle now);
+  /// After a command issued: sleep until the first cycle the scheduler can
+  /// issue again (the pre-pass run for the next command slot).
+  void SettleAfterIssue();
 
   void IssueColumn(std::size_t i, Cycle now);
   void IssueActivate(std::size_t i, Cycle now);
@@ -152,12 +168,6 @@ class DramChannel {
   Cycle next_cmd_slot_ = 0;  ///< command bus: one command per DRAM clock
   Cycle sleep_until_ = 0;    ///< no scheduling work possible before this
   Cycle refresh_wake_ = 0;   ///< earliest cycle refresh bookkeeping matters
-  /// Idle-branch NextEventHint memo: min over ranks of refresh_until /
-  /// next_refresh. Valid while refresh_epoch_ matches and now < idle_hint_
-  /// (see NextEventHint for why the value is constant on that window).
-  mutable Cycle idle_hint_ = 0;
-  mutable std::uint64_t idle_hint_epoch_ = ~std::uint64_t{0};
-  std::uint64_t refresh_epoch_ = 0;  ///< bumped on every StartRefresh
   /// Queue lane of cold-state indices into slots_; declared here (not with
   /// its sibling lanes below) because its header's empty() test is on the
   /// every-visit path.

@@ -20,6 +20,7 @@ RequestId DramSystem::Enqueue(Addr addr, bool is_write, Cycle now,
   if (functional_latency_ != 0) {
     const RequestId id = next_id_++;
     const Cycle done = now + functional_latency_;
+    assert(func_pending_.empty() || func_pending_.back().done <= done);
     func_pending_.push_back(
         {id, BlockAlign(addr), is_write, done, tenant, user_tag});
     func_min_ = std::min(func_min_, done);
@@ -36,34 +37,31 @@ RequestId DramSystem::Enqueue(Addr addr, bool is_write, Cycle now,
   req.tenant = tenant;
   req.user_tag = user_tag;
   assert(channels_[req.loc.channel]->CanAccept());
-  channels_[req.loc.channel]->Enqueue(req);
+  DramChannel& ch = *channels_[req.loc.channel];
+  ch.Enqueue(req);
   inflight_++;
-  // New work re-arms the channel's wake. EnqueueWake (not NextEventHint):
-  // when the enqueue lands before this visit's device tick the channel may
-  // issue at `now` itself, so a future-only hint would be too late. The
-  // other channels' stored wakes are unaffected.
-  wakes_.Set(req.loc.channel, channels_[req.loc.channel]->EnqueueWake());
+  // New work re-arms the channel's wake; the other channels' stored wakes
+  // are unaffected. Before this cycle's tick the channel may issue at `now`
+  // itself, so the bound is EnqueueWake (possibly due now). After the tick
+  // the channel is done with `now`: its post-tick hint, which floors the
+  // command term at the next slot, is exact — a due-now wake would only
+  // buy an empty visit at now + 1.
+  wakes_.Set(req.loc.channel,
+             ticked_at_ == now ? ch.NextEventHint(now) : ch.EnqueueWake());
   return req.id;
 }
 
 void DramSystem::Tick(Cycle now) {
+  ticked_at_ = now;
   // Fixed-latency completions (functional mode, or the tail of one after a
-  // restore into detailed timing): stable compacting drain, like a channel's
-  // pending-done pass.
+  // restore into detailed timing), delivered in FIFO order from the front.
   if (func_min_ <= now) {
-    std::size_t keep = 0;
-    Cycle next_min = ~Cycle{0};
-    for (std::size_t i = 0; i < func_pending_.size(); ++i) {
-      if (func_pending_[i].done <= now) {
-        completions_.push_back(func_pending_[i]);
-        inflight_--;
-      } else {
-        next_min = std::min(next_min, func_pending_[i].done);
-        func_pending_[keep++] = func_pending_[i];
-      }
+    while (!func_pending_.empty() && func_pending_.front().done <= now) {
+      completions_.push_back(func_pending_.front());
+      func_pending_.pop_front();
+      inflight_--;
     }
-    func_pending_.resize(keep);
-    func_min_ = next_min;
+    func_min_ = func_pending_.empty() ? ~Cycle{0} : func_pending_.front().done;
   }
   if (wakes_.NoneDue(now)) return;  // nothing can happen yet
   const std::size_t before = completions_.size();
@@ -144,7 +142,7 @@ void DramSystem::Snapshot(ser::Writer& w) const {
   w.Section("dram");
   w.U64(next_id_);
   w.U64(inflight_);
-  auto completion_list = [&w](const std::vector<DramCompletion>& list) {
+  auto completion_list = [&w](const auto& list) {
     w.U64(list.size());
     for (const DramCompletion& d : list) {
       w.U64(d.id);
@@ -165,7 +163,7 @@ void DramSystem::Restore(ser::Reader& r) {
   r.Section("dram");
   next_id_ = r.U64();
   inflight_ = r.U64();
-  auto completion_list = [&r](std::vector<DramCompletion>& list) {
+  auto completion_list = [&r](auto& list) {
     list.clear();
     const std::size_t n = r.SeqLen(1);
     for (std::size_t i = 0; i < n; ++i) {
@@ -184,6 +182,7 @@ void DramSystem::Restore(ser::Reader& r) {
   func_min_ = r.U64();
   for (auto& ch : channels_) ch->Restore(r);
   wakes_.Reset(channels_.size());  // all due: spurious visits are no-ops
+  ticked_at_ = ~Cycle{0};
 }
 
 }  // namespace redcache

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -119,8 +120,10 @@ class DramSystem {
   /// A checkpoint taken mid-fast-forward restores these into detailed mode
   /// as a transient boundary effect (the requests complete at their fixed
   /// times, then the detailed scheduler takes over).
+  /// Fixed latency makes the list FIFO (Enqueue times never decrease), so
+  /// Tick delivers from the front and func_min_ is the front's done cycle.
   Cycle functional_latency_ = 0;
-  std::vector<DramCompletion> func_pending_;
+  std::deque<DramCompletion> func_pending_;
   Cycle func_min_ = ~Cycle{0};
   /// Per-channel wake cycles (event core): Tick visits only channels whose
   /// wake is due, and NextEventHint is the stored minimum. A channel's wake
@@ -128,6 +131,10 @@ class DramSystem {
   /// Enqueue; between those, channel state cannot change, so the stored
   /// hint stays exact.
   WakeList wakes_;
+  /// The cycle of the last Tick (~0 before the first one and after a
+  /// restore). An Enqueue at that cycle lands after the channels' tick, so
+  /// it re-arms with the channel's post-tick hint instead of EnqueueWake.
+  Cycle ticked_at_ = ~Cycle{0};
 };
 
 }  // namespace redcache

@@ -48,6 +48,7 @@ void AlloyController::Fill(Addr addr, bool dirty, Cycle now) {
     }
   }
   NotifyFill(addr, dirty);
+  if (!line.valid) resident_++;
   line.valid = true;
   line.dirty = dirty;
   line.tag = tags_.TagOf(addr);
@@ -115,12 +116,11 @@ void AlloyController::OnDeviceComplete(Txn& txn, bool /*from_hbm*/,
   }
 }
 
-std::uint64_t AlloyController::ResidentLines() const {
-  std::uint64_t resident = 0;
+void AlloyController::RecountResident() {
+  resident_ = 0;
   for (std::uint64_t s = 0; s < tags_.num_sets(); ++s) {
-    resident += tags_.line(s).valid ? 1 : 0;
+    resident_ += tags_.line(s).valid ? 1 : 0;
   }
-  return resident;
 }
 
 void AlloyController::ExportOwnStats(StatSet& stats) const {
@@ -156,6 +156,7 @@ void AlloyController::RestorePolicy(ser::Reader& r) {
   fills_ = r.U64();
   victim_writebacks_ = r.U64();
   evictions_ = r.U64();
+  RecountResident();
 }
 
 }  // namespace redcache

@@ -39,7 +39,9 @@ class AlloyController : public ControllerBase {
   void Fill(Addr addr, bool dirty, Cycle now);
 
   /// Valid lines currently resident (fills == evictions + resident).
-  std::uint64_t ResidentLines() const;
+  std::uint64_t ResidentLines() const { return resident_; }
+  /// Recount resident_ from the tag store (after a restore).
+  void RecountResident();
 
   DirectMappedTags tags_;
   std::uint64_t hits_ = 0;
@@ -49,6 +51,10 @@ class AlloyController : public ControllerBase {
   std::uint64_t fills_ = 0;
   std::uint64_t victim_writebacks_ = 0;
   std::uint64_t evictions_ = 0;  ///< valid lines displaced (clean or dirty)
+  /// Valid lines in tags_, kept up to date where a line turns valid or
+  /// invalid, so telemetry epochs do not scan the tag store. Derived state:
+  /// not checkpointed, recounted on restore.
+  std::uint64_t resident_ = 0;
 };
 
 }  // namespace redcache

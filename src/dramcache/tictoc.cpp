@@ -78,6 +78,7 @@ void TicTocController::OnDeviceComplete(Txn& txn, bool /*from_hbm*/,
             NotifyInvalidate(txn.addr);
             line.valid = false;
             line.dirty = false;
+            resident_--;
             evictions_++;
             mm_bursts_++;
             SendMm(kPostedOp, txn.addr, /*is_write=*/true, now);

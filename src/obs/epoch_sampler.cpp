@@ -4,8 +4,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "obs/adaptive_epoch.hpp"
 #include "obs/json.hpp"
@@ -19,8 +19,9 @@ bool IsGauge(const std::string& name) {
   return name.rfind(kGaugePrefix, 0) == 0;
 }
 
-std::string StripGauge(const std::string& name) {
-  return name.substr(std::strlen(kGaugePrefix));
+bool EndsWith(const std::string& s, const char* suffix) {
+  const std::size_t n = std::strlen(suffix);
+  return s.size() > n && s.compare(s.size() - n, n, suffix) == 0;
 }
 
 /// Printed with enough digits to round-trip; trailing-zero trimmed.
@@ -30,19 +31,8 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
-std::int64_t DeltaOf(const EpochRecord& e, const char* name) {
-  const auto it = e.delta.find(name);
-  return it == e.delta.end() ? 0 : it->second;
-}
-
-/// Keys of `m`, naturally ordered.
-template <typename Map>
-std::vector<std::string> NaturalKeys(const Map& m) {
-  std::vector<std::string> keys;
-  keys.reserve(m.size());
-  for (const auto& kv : m) keys.push_back(kv.first);
-  std::sort(keys.begin(), keys.end(), NaturalNameLess);
-  return keys;
+std::int64_t DeltaOf(const EpochRecord& e, std::uint32_t id) {
+  return e.Has(id) ? e.values[id] : 0;
 }
 
 /// CSV-quote a meta value when it contains characters that would break the
@@ -58,15 +48,77 @@ std::string CsvMetaValue(const std::string& v) {
   return out;
 }
 
+/// ID of `name` in `e`, or kNone when the record does not hold it.
+std::uint32_t RecordId(const EpochRecord& e, const std::string& name) {
+  const std::uint32_t id = e.layout->ids().Find(name);
+  return e.Has(id) ? id : EpochLayout::kNone;
+}
+
 }  // namespace
+
+void EpochLayout::Sync() {
+  const std::uint32_t n = ids_.size();
+  const std::uint32_t old = size();
+  if (n == old) return;
+  for (std::uint32_t id = old; id < n; ++id) {
+    const std::string& name = ids_.name(id);
+    const bool is_gauge = IsGauge(name);
+    gauge_.push_back(is_gauge ? 1 : 0);
+    key_.push_back(is_gauge ? name.substr(std::strlen(kGaugePrefix)) : name);
+    json_key_.push_back("\"" + JsonEscape(key_.back()) + "\":");
+    byte_order_.push_back(id);
+    natural_order_.push_back(id);
+    if (is_gauge) continue;
+    if (name == "ctrl.cache_hits") hits = id;
+    if (name == "ctrl.cache_misses") misses = id;
+    if (name == "ctrl.alpha_bypasses") alpha_bypasses = id;
+    if (name == "ctrl.refresh_bypasses") refresh_bypasses = id;
+    if (EndsWith(name, ".bytes_transferred")) bytes_ids.push_back(id);
+  }
+  std::sort(byte_order_.begin(), byte_order_.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return key_[a] < key_[b];
+            });
+  std::sort(natural_order_.begin(), natural_order_.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return NaturalNameLess(key_[a], key_[b]);
+            });
+}
+
+bool EpochRecord::HasDelta(const std::string& name) const {
+  return !IsGauge(name) && RecordId(*this, name) != EpochLayout::kNone;
+}
+
+std::int64_t EpochRecord::Delta(const std::string& name) const {
+  if (!HasDelta(name)) throw std::out_of_range("no delta for " + name);
+  return values[RecordId(*this, name)];
+}
+
+bool EpochRecord::HasGauge(const std::string& name) const {
+  return RecordId(*this, kGaugePrefix + name) != EpochLayout::kNone;
+}
+
+std::uint64_t EpochRecord::Gauge(const std::string& name) const {
+  const std::uint32_t id = RecordId(*this, kGaugePrefix + name);
+  if (id == EpochLayout::kNone) throw std::out_of_range("no gauge " + name);
+  return static_cast<std::uint64_t>(values[id]);
+}
+
+std::map<std::string, std::int64_t> EpochRecord::Deltas() const {
+  std::map<std::string, std::int64_t> out;
+  for (std::uint32_t id = 0; id < present.size(); ++id) {
+    if (Has(id) && !layout->gauge(id)) out[layout->key(id)] = values[id];
+  }
+  return out;
+}
 
 DerivedMetrics DeriveMetrics(const EpochRecord& e) {
   DerivedMetrics d;
-  const double hits = static_cast<double>(DeltaOf(e, "ctrl.cache_hits"));
-  const double misses = static_cast<double>(DeltaOf(e, "ctrl.cache_misses"));
-  const double bypasses =
-      static_cast<double>(DeltaOf(e, "ctrl.alpha_bypasses") +
-                          DeltaOf(e, "ctrl.refresh_bypasses"));
+  const EpochLayout& l = *e.layout;
+  const double hits = static_cast<double>(DeltaOf(e, l.hits));
+  const double misses = static_cast<double>(DeltaOf(e, l.misses));
+  const double bypasses = static_cast<double>(
+      DeltaOf(e, l.alpha_bypasses) + DeltaOf(e, l.refresh_bypasses));
   const double lookups = hits + misses + bypasses;
   if (lookups > 0) {
     d.hit_rate = hits / lookups;
@@ -75,12 +127,7 @@ DerivedMetrics DeriveMetrics(const EpochRecord& e) {
   const Cycle span = e.end - e.begin;
   if (span > 0) {
     std::int64_t bytes = 0;
-    for (const auto& [name, delta] : e.delta) {
-      if (name.size() > 18 &&
-          name.compare(name.size() - 18, 18, ".bytes_transferred") == 0) {
-        bytes += delta;
-      }
-    }
+    for (const std::uint32_t id : l.bytes_ids) bytes += DeltaOf(e, id);
     d.bw_bytes_per_cycle =
         static_cast<double>(bytes) / static_cast<double>(span);
   }
@@ -133,7 +180,8 @@ EpochSampler::EpochSampler(Cycle epoch_cycles)
     : epoch_cycles_(std::max<Cycle>(epoch_cycles, 1)),
       next_due_(std::max<Cycle>(epoch_cycles, 1)),
       min_width_used_(epoch_cycles_),
-      max_width_used_(epoch_cycles_) {}
+      max_width_used_(epoch_cycles_),
+      layout_(std::make_shared<EpochLayout>()) {}
 
 EpochSampler::~EpochSampler() = default;
 
@@ -155,42 +203,90 @@ void EpochSampler::SeedBaseline(Cycle at, const StatSet& cumulative) {
   last_sample_ = at;
   next_due_ = at + epoch_cycles_;
   baseline_.clear();
-  for (const auto& [name, value] : cumulative.counters()) {
-    if (IsGauge(name)) continue;
-    baseline_[name] = value;
-    prev_[name] = value;
+  const FlatView flat = Flatten(cumulative);
+  for (std::uint32_t id = 0; id < layout_->size(); ++id) {
+    if (!flat.Has(id) || layout_->gauge(id)) continue;
+    baseline_[layout_->key(id)] = flat.values[id];
+    prev_[id] = flat.values[id];
+    seen_[id] = 1;
   }
 }
 
+EpochSampler::FlatView EpochSampler::Flatten(const StatSet& cumulative) {
+  const bool captured = cumulative.capture_ids() == &layout_->ids();
+  if (!captured) {
+    std::fill(scratch_present_.begin(), scratch_present_.end(),
+              std::uint8_t{0});
+    for (const auto& [name, value] : cumulative.counters()) {
+      const std::uint32_t id = layout_->ids().Intern(name);
+      if (id >= scratch_values_.size()) {
+        scratch_values_.resize(id + 1, 0);
+        scratch_present_.resize(id + 1, 0);
+      }
+      scratch_values_[id] = value;
+      scratch_present_[id] = 1;
+    }
+  }
+  layout_->Sync();
+  prev_.resize(layout_->size(), 0);
+  seen_.resize(layout_->size(), 0);
+  if (captured) {
+    return {cumulative.captured_values(), cumulative.captured_flags()};
+  }
+  return {scratch_values_, scratch_present_};
+}
+
+std::map<std::string, std::uint64_t> EpochSampler::cumulative() const {
+  std::map<std::string, std::uint64_t> out;
+  for (std::uint32_t id = 0; id < seen_.size(); ++id) {
+    if (seen_[id] != 0) out[layout_->key(id)] = prev_[id];
+  }
+  return out;
+}
+
 void EpochSampler::Record(Cycle now, const StatSet& cumulative) {
-  EpochRecord rec;
+  if (adaptive_ && width_id_ == EpochLayout::kNone) {
+    width_id_ = layout_->ids().Intern(std::string(kGaugePrefix) +
+                                      "telemetry.epoch_cycles");
+  }
+  const FlatView flat = Flatten(cumulative);
+  const std::uint32_t n = layout_->size();
+  // Streaming without retention keeps one record and reuses its storage.
+  if (retain_ || epochs_.empty()) epochs_.emplace_back();
+  EpochRecord& rec = epochs_.back();
   rec.begin = last_sample_;
   rec.end = now;
-  for (const auto& [name, value] : cumulative.counters()) {
-    if (IsGauge(name)) {
-      rec.gauges[StripGauge(name)] = value;
+  rec.layout = layout_;
+  rec.values.assign(n, 0);
+  rec.present.assign(n, 0);
+  for (std::uint32_t id = 0; id < n; ++id) {
+    if (!flat.Has(id)) continue;
+    const std::uint64_t value = flat.values[id];
+    rec.present[id] = 1;
+    if (layout_->gauge(id)) {
+      rec.values[id] = static_cast<std::int64_t>(value);
       continue;
     }
-    const auto prev_it = prev_.find(name);
-    const std::uint64_t before = prev_it == prev_.end() ? 0 : prev_it->second;
-    rec.delta[name] =
-        static_cast<std::int64_t>(value) - static_cast<std::int64_t>(before);
-    prev_[name] = value;
+    rec.values[id] = static_cast<std::int64_t>(value) -
+                     static_cast<std::int64_t>(prev_[id]);
+    prev_[id] = value;
+    seen_[id] = 1;
   }
   if (adaptive_) {
     // Make the width that produced this record part of the record, so the
     // adaptive narrowing is visible in every exported series. Only when
     // adaptation is on: fixed-epoch output stays byte-identical.
-    rec.gauges["telemetry.epoch_cycles"] = epoch_cycles_;
+    rec.values[width_id_] = static_cast<std::int64_t>(epoch_cycles_);
+    rec.present[width_id_] = 1;
   }
   min_width_used_ = std::min(min_width_used_, epoch_cycles_);
   max_width_used_ = std::max(max_width_used_, epoch_cycles_);
   total_epochs_++;
-  if (sink_) sink_->WriteLine(NdjsonEpochLine(total_epochs_ - 1, rec));
-  epochs_.push_back(std::move(rec));
-  // Bounded memory for arbitrarily long streamed runs: keep only the most
-  // recent record (Finalize's gauge-refresh path still needs one).
-  if (!retain_ && epochs_.size() > 1) epochs_.erase(epochs_.begin());
+  if (sink_) {
+    line_.clear();
+    AppendNdjsonEpochLine(line_, total_epochs_ - 1, rec);
+    sink_->WriteLine(line_);
+  }
   last_sample_ = now;
 }
 
@@ -210,8 +306,14 @@ void EpochSampler::Finalize(Cycle end, const StatSet& cumulative) {
     // Run ended exactly on (or before) a sample; refresh the final gauges
     // on the last record instead of emitting an empty epoch.
     if (!epochs_.empty()) {
-      for (const auto& [name, value] : cumulative.counters()) {
-        if (IsGauge(name)) epochs_.back().gauges[StripGauge(name)] = value;
+      const FlatView flat = Flatten(cumulative);
+      EpochRecord& last = epochs_.back();
+      last.values.resize(layout_->size(), 0);
+      last.present.resize(layout_->size(), 0);
+      for (std::uint32_t id = 0; id < layout_->size(); ++id) {
+        if (!flat.Has(id) || !layout_->gauge(id)) continue;
+        last.values[id] = static_cast<std::int64_t>(flat.values[id]);
+        last.present[id] = 1;
       }
     }
     return;
@@ -239,6 +341,7 @@ std::string TelemetryJson(const EpochSampler& sampler,
   AppendMetaJsonFields(os, meta, sampler);
   os << ",\"exec_cycles\":" << meta.exec_cycles
      << ",\"num_epochs\":" << sampler.epochs().size() << "},\"epochs\":[";
+  const EpochLayout& l = sampler.layout();
   bool first_epoch = true;
   for (const EpochRecord& e : sampler.epochs()) {
     if (!first_epoch) os << ",";
@@ -250,17 +353,19 @@ std::string TelemetryJson(const EpochSampler& sampler,
        << ",\"bw_bytes_per_cycle\":" << FormatDouble(d.bw_bytes_per_cycle)
        << "},\"gauges\":{";
     bool first = true;
-    for (const std::string& key : NaturalKeys(e.gauges)) {
+    for (const std::uint32_t id : l.natural_order()) {
+      if (!e.Has(id) || !l.gauge(id)) continue;
       if (!first) os << ",";
       first = false;
-      os << "\"" << JsonEscape(key) << "\":" << e.gauges.at(key);
+      os << l.json_key(id) << static_cast<std::uint64_t>(e.values[id]);
     }
     os << "},\"delta\":{";
     first = true;
-    for (const std::string& key : NaturalKeys(e.delta)) {
+    for (const std::uint32_t id : l.natural_order()) {
+      if (!e.Has(id) || l.gauge(id)) continue;
       if (!first) os << ",";
       first = false;
-      os << "\"" << JsonEscape(key) << "\":" << e.delta.at(key);
+      os << l.json_key(id) << e.values[id];
     }
     os << "}}";
   }
@@ -282,15 +387,17 @@ std::string TelemetryCsv(const EpochSampler& sampler,
   // (e.g. RCU depth after the first fill) still gets a column. The same
   // union rule covers every key JSON emits — gauge.skip_pct and the
   // per-tenant gauge.tenant<N>.* feeds included.
-  std::set<std::string> gauge_names, delta_names;
+  const EpochLayout& l = sampler.layout();
+  std::vector<std::uint8_t> used(l.size(), 0);
   for (const EpochRecord& e : sampler.epochs()) {
-    for (const auto& kv : e.gauges) gauge_names.insert(kv.first);
-    for (const auto& kv : e.delta) delta_names.insert(kv.first);
+    for (std::uint32_t id = 0; id < e.present.size(); ++id) {
+      used[id] |= e.present[id];
+    }
   }
-  std::vector<std::string> gauges(gauge_names.begin(), gauge_names.end());
-  std::vector<std::string> deltas(delta_names.begin(), delta_names.end());
-  std::sort(gauges.begin(), gauges.end(), NaturalNameLess);
-  std::sort(deltas.begin(), deltas.end(), NaturalNameLess);
+  std::vector<std::uint32_t> gauges, deltas;
+  for (const std::uint32_t id : l.natural_order()) {
+    if (used[id] != 0) (l.gauge(id) ? gauges : deltas).push_back(id);
+  }
 
   std::ostringstream os;
   os << "# arch=" << CsvMetaValue(meta.arch)
@@ -301,23 +408,21 @@ std::string TelemetryCsv(const EpochSampler& sampler,
      << " epoch_cycles=" << sampler.epoch_cycles()
      << " exec_cycles=" << meta.exec_cycles << "\n";
   os << "begin,end,hit_rate,bypass_rate,bw_bytes_per_cycle";
-  for (const std::string& g : gauges) os << ",gauge." << g;
-  for (const std::string& d : deltas) os << "," << d;
+  for (const std::uint32_t id : gauges) os << ",gauge." << l.key(id);
+  for (const std::uint32_t id : deltas) os << "," << l.key(id);
   os << "\n";
   for (const EpochRecord& e : sampler.epochs()) {
     const DerivedMetrics d = DeriveMetrics(e);
     os << e.begin << "," << e.end << "," << FormatDouble(d.hit_rate) << ","
        << FormatDouble(d.bypass_rate) << ","
        << FormatDouble(d.bw_bytes_per_cycle);
-    for (const std::string& g : gauges) {
+    for (const std::uint32_t id : gauges) {
       os << ",";
-      const auto it = e.gauges.find(g);
-      if (it != e.gauges.end()) os << it->second;
+      if (e.Has(id)) os << static_cast<std::uint64_t>(e.values[id]);
     }
-    for (const std::string& name : deltas) {
+    for (const std::uint32_t id : deltas) {
       os << ",";
-      const auto it = e.delta.find(name);
-      if (it != e.delta.end()) os << it->second;
+      if (e.Has(id)) os << e.values[id];
     }
     os << "\n";
   }

@@ -14,6 +14,14 @@
 // e.g. ctrl.resident_lines, are gauges exported as counters and may move
 // down).
 //
+// Interned epochs (DESIGN.md section 14): counter names are resolved to
+// dense IDs once per run (an EpochLayout, filled as names first appear)
+// and every per-epoch quantity is a flat array indexed by ID — the capture
+// (StatSet::BeginCapture), the previous cumulative values and the record.
+// A delta is one subtraction per ID; the writers emit precomputed, already
+// escaped JSON key fragments in precomputed orders; names are looked up
+// only by tests and tools.
+//
 // Invariant (tested): the per-epoch deltas of a counter sum exactly to its
 // final cumulative value, because deltas telescope — regardless of epoch
 // width, adaptive resizing, or an early (serve-mode EOF) residual epoch.
@@ -45,11 +53,73 @@ class TelemetrySink;
 /// Prefix marking point-in-time values (recorded raw, never differenced).
 inline constexpr const char* kGaugePrefix = "gauge.";
 
+/// The run's counter IDs and everything the writers need per ID, derived
+/// once when an ID first appears: whether it is a gauge, the key it is
+/// written under (gauge prefix stripped), that key as an escaped JSON
+/// fragment (`"key":`), the two emission orders, and the IDs the derived
+/// metrics read. Append-only, like the IDs.
+class EpochLayout {
+ public:
+  static constexpr std::uint32_t kNone = CounterIds::kNone;
+
+  /// Extend the per-ID tables over every interned ID; re-sorts the
+  /// emission orders only when IDs were added.
+  void Sync();
+
+  CounterIds& ids() { return ids_; }
+  const CounterIds& ids() const { return ids_; }
+  std::uint32_t size() const { return static_cast<std::uint32_t>(key_.size()); }
+  bool gauge(std::uint32_t id) const { return gauge_[id] != 0; }
+  const std::string& key(std::uint32_t id) const { return key_[id]; }
+  const std::string& json_key(std::uint32_t id) const { return json_key_[id]; }
+  /// IDs by key in byte order (NDJSON records) and in natural order
+  /// (NaturalNameLess: the JSON and CSV writers).
+  const std::vector<std::uint32_t>& byte_order() const { return byte_order_; }
+  const std::vector<std::uint32_t>& natural_order() const {
+    return natural_order_;
+  }
+
+  // Derived-metric inputs (kNone until the counter first appears).
+  std::uint32_t hits = kNone;
+  std::uint32_t misses = kNone;
+  std::uint32_t alpha_bypasses = kNone;
+  std::uint32_t refresh_bypasses = kNone;
+  /// Counters named "*.bytes_transferred" (summed for bandwidth).
+  std::vector<std::uint32_t> bytes_ids;
+
+ private:
+  CounterIds ids_;
+  std::vector<std::uint8_t> gauge_;
+  std::vector<std::string> key_;
+  std::vector<std::string> json_key_;
+  std::vector<std::uint32_t> byte_order_;
+  std::vector<std::uint32_t> natural_order_;
+};
+
 struct EpochRecord {
   Cycle begin = 0;
   Cycle end = 0;
-  std::map<std::string, std::int64_t> delta;    ///< per-epoch increments
-  std::map<std::string, std::uint64_t> gauges;  ///< raw values at `end`
+  /// By counter ID: a counter's per-epoch increment, a gauge's raw value
+  /// at `end` (bit-cast). An ID belongs to the record only where `present`
+  /// is set — a counter no layer exported this epoch is absent, not zero.
+  /// Records made before an ID existed are shorter than the layout.
+  std::vector<std::int64_t> values;
+  std::vector<std::uint8_t> present;
+  /// The sampler's layout (IDs to names); set on every record it makes.
+  std::shared_ptr<const EpochLayout> layout;
+
+  bool Has(std::uint32_t id) const {
+    return id < present.size() && present[id] != 0;
+  }
+  /// Name lookups (tests, tools): counters by full name, gauges by name
+  /// without the "gauge." prefix. Delta/Gauge throw std::out_of_range when
+  /// the name is not in the record.
+  bool HasDelta(const std::string& name) const;
+  std::int64_t Delta(const std::string& name) const;
+  bool HasGauge(const std::string& name) const;
+  std::uint64_t Gauge(const std::string& name) const;
+  /// Every counter delta in the record, by name.
+  std::map<std::string, std::int64_t> Deltas() const;
 };
 
 /// Per-epoch derived metrics computed from delta+gauges. All rates are
@@ -119,6 +189,11 @@ class EpochSampler {
   /// re-derives the same wake; it cannot perturb simulation state).
   Cycle next_due() const { return next_due_; }
 
+  /// The run's counter IDs. System::Run captures each epoch's snapshot
+  /// against them (StatSet::BeginCapture) so Sample reads flat arrays.
+  CounterIds& counter_ids() { return layout_->ids(); }
+  const EpochLayout& layout() const { return *layout_; }
+
   /// Seed the telescoping baseline after a checkpoint restore. Epoch
   /// accounting resumes at `at` (the restored cycle): the first epoch
   /// begins there instead of 0, and `cumulative` — the restored run's
@@ -136,7 +211,9 @@ class EpochSampler {
     return baseline_;
   }
 
-  /// Record the epoch ending at `now` from the cumulative snapshot.
+  /// Record the epoch ending at `now` from the cumulative snapshot: a
+  /// capture against counter_ids() (the run loop's path) or any plain
+  /// StatSet, whose names are interned here first.
   void Sample(Cycle now, const StatSet& cumulative);
 
   /// Record the residual partial epoch at end of run (no-op if nothing
@@ -151,8 +228,12 @@ class EpochSampler {
 
   /// Final cumulative value of every non-gauge counter seen so far — the
   /// telescoping target the NDJSON end record publishes for validators.
-  const std::map<std::string, std::uint64_t>& cumulative() const {
-    return prev_;
+  /// By name, built on call.
+  std::map<std::string, std::uint64_t> cumulative() const;
+  /// The same, by ID (meaningful where counter_seen(id)).
+  const std::vector<std::uint64_t>& cumulative_values() const { return prev_; }
+  bool counter_seen(std::uint32_t id) const {
+    return id < seen_.size() && seen_[id] != 0;
   }
 
   /// Narrowest / widest period actually used (equal unless adaptive).
@@ -160,6 +241,17 @@ class EpochSampler {
   Cycle max_width_used() const { return max_width_used_; }
 
  private:
+  /// The snapshot as flat arrays by ID (a flag vector may be shorter than
+  /// the layout): a capture against this sampler's IDs as is, any other
+  /// StatSet interned into the scratch arrays first.
+  struct FlatView {
+    const std::vector<std::uint64_t>& values;
+    const std::vector<std::uint8_t>& present;
+    bool Has(std::uint32_t id) const {
+      return id < present.size() && present[id] != 0;
+    }
+  };
+  FlatView Flatten(const StatSet& cumulative);
   void Record(Cycle now, const StatSet& cumulative);
 
   Cycle epoch_cycles_;
@@ -174,7 +266,13 @@ class EpochSampler {
   std::uint64_t total_epochs_ = 0;
   TelemetrySink* sink_ = nullptr;
   std::unique_ptr<AdaptiveEpochController> adaptive_;
-  std::map<std::string, std::uint64_t> prev_;
+  std::shared_ptr<EpochLayout> layout_;
+  std::uint32_t width_id_ = EpochLayout::kNone;  ///< telemetry.epoch_cycles
+  std::vector<std::uint64_t> prev_;  ///< by ID: last cumulative value
+  std::vector<std::uint8_t> seen_;   ///< by ID: counter ever recorded
+  std::vector<std::uint64_t> scratch_values_;
+  std::vector<std::uint8_t> scratch_present_;
+  std::string line_;  ///< NDJSON line buffer, reused every epoch
   std::vector<EpochRecord> epochs_;
 };
 

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -69,11 +70,11 @@ std::unique_ptr<FdTelemetrySink> FdTelemetrySink::OpenPath(
 
 bool FdTelemetrySink::WriteLine(const std::string& line) {
   if (broken_) return false;
-  std::string buf = line;
-  buf += '\n';
+  buf_.assign(line);
+  buf_ += '\n';
   std::size_t off = 0;
-  while (off < buf.size()) {
-    const ssize_t n = ::write(fd_, buf.data() + off, buf.size() - off);
+  while (off < buf_.size()) {
+    const ssize_t n = ::write(fd_, buf_.data() + off, buf_.size() - off);
     if (n > 0) {
       off += static_cast<std::size_t>(n);
       continue;
@@ -132,30 +133,52 @@ std::string NdjsonHeaderLine(const TelemetryMeta& meta,
   return os.str();
 }
 
-std::string NdjsonEpochLine(std::uint64_t seq, const EpochRecord& e) {
+namespace {
+
+/// Decimal, exactly as an ostream prints it.
+template <typename Int>
+void AppendNumber(std::string& out, Int v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+}  // namespace
+
+void AppendNdjsonEpochLine(std::string& out, std::uint64_t seq,
+                           const EpochRecord& e) {
   const DerivedMetrics d = DeriveMetrics(e);
-  std::ostringstream os;
-  os << "{\"type\":\"epoch\",\"seq\":" << seq << ",\"begin\":" << e.begin
-     << ",\"end\":" << e.end
-     << ",\"derived\":{\"hit_rate\":" << FormatDouble(d.hit_rate)
-     << ",\"bypass_rate\":" << FormatDouble(d.bypass_rate)
-     << ",\"bw_bytes_per_cycle\":" << FormatDouble(d.bw_bytes_per_cycle)
-     << "},\"gauges\":{";
+  out += "{\"type\":\"epoch\",\"seq\":";
+  AppendNumber(out, seq);
+  out += ",\"begin\":";
+  AppendNumber(out, e.begin);
+  out += ",\"end\":";
+  AppendNumber(out, e.end);
+  out += ",\"derived\":{\"hit_rate\":";
+  out += FormatDouble(d.hit_rate);
+  out += ",\"bypass_rate\":";
+  out += FormatDouble(d.bypass_rate);
+  out += ",\"bw_bytes_per_cycle\":";
+  out += FormatDouble(d.bw_bytes_per_cycle);
+  out += "},\"gauges\":{";
+  const EpochLayout& l = *e.layout;
   bool first = true;
-  for (const auto& [name, value] : e.gauges) {
-    if (!first) os << ",";
+  for (const std::uint32_t id : l.byte_order()) {
+    if (!e.Has(id) || !l.gauge(id)) continue;
+    if (!first) out += ',';
     first = false;
-    os << "\"" << JsonEscape(name) << "\":" << value;
+    out += l.json_key(id);
+    AppendNumber(out, static_cast<std::uint64_t>(e.values[id]));
   }
-  os << "},\"delta\":{";
+  out += "},\"delta\":{";
   first = true;
-  for (const auto& [name, value] : e.delta) {
-    if (!first) os << ",";
+  for (const std::uint32_t id : l.byte_order()) {
+    if (!e.Has(id) || l.gauge(id)) continue;
+    if (!first) out += ',';
     first = false;
-    os << "\"" << JsonEscape(name) << "\":" << value;
+    out += l.json_key(id);
+    AppendNumber(out, e.values[id]);
   }
-  os << "}}";
-  return os.str();
+  out += "}}";
 }
 
 std::string NdjsonEndLine(const TelemetryMeta& meta,
@@ -165,11 +188,13 @@ std::string NdjsonEndLine(const TelemetryMeta& meta,
      << ",\"num_epochs\":" << sampler.total_epochs()
      << ",\"epoch_min_used\":" << sampler.min_width_used()
      << ",\"epoch_max_used\":" << sampler.max_width_used() << ",\"totals\":{";
+  const EpochLayout& l = sampler.layout();
   bool first = true;
-  for (const auto& [name, value] : sampler.cumulative()) {
+  for (const std::uint32_t id : l.byte_order()) {
+    if (!sampler.counter_seen(id)) continue;
     if (!first) os << ",";
     first = false;
-    os << "\"" << JsonEscape(name) << "\":" << value;
+    os << l.json_key(id) << sampler.cumulative_values()[id];
   }
   os << "}}";
   return os.str();

@@ -73,6 +73,7 @@ class FdTelemetrySink : public TelemetrySink {
   int fd_;
   bool owns_fd_;
   bool broken_ = false;
+  std::string buf_;  ///< line + newline, reused across writes
   std::uint64_t lines_written_ = 0;
   std::string target_;
 };
@@ -100,7 +101,9 @@ bool StreamingTelemetryPath(const std::string& path);
 // --- NDJSON record builders (no trailing newline) --------------------------
 std::string NdjsonHeaderLine(const TelemetryMeta& meta,
                              const EpochSampler& sampler);
-std::string NdjsonEpochLine(std::uint64_t seq, const EpochRecord& e);
+/// Appends to `out`, so the sampler can reuse one line buffer per run.
+void AppendNdjsonEpochLine(std::string& out, std::uint64_t seq,
+                           const EpochRecord& e);
 std::string NdjsonEndLine(const TelemetryMeta& meta,
                           const EpochSampler& sampler);
 

@@ -91,7 +91,7 @@ RunResult System::Run(Cycle max_cycles) {
     // Time jumps are clamped to the next boundary below, so this samples
     // exactly at the epoch edge even under skip-ahead.
     if (telemetry_ != nullptr && telemetry_->Due(now)) {
-      telemetry_->Sample(now, TelemetrySnapshot(now));
+      telemetry_->Sample(now, CaptureEpoch(now));
     }
 
     // Drain buffered L3 writebacks into the controller.
@@ -185,7 +185,7 @@ RunResult System::Run(Cycle max_cycles) {
   result.exec_cycles = finish;
 
   if (telemetry_ != nullptr) {
-    telemetry_->Finalize(finish, TelemetrySnapshot(finish));
+    telemetry_->Finalize(finish, CaptureEpoch(finish));
   }
 
   controller_->ExportStats(result.stats);
@@ -263,8 +263,13 @@ void System::Restore(ser::Reader& r) {
   resumed_ = true;
 }
 
-StatSet System::TelemetrySnapshot(Cycle now) const {
-  StatSet snap;
+const StatSet& System::CaptureEpoch(Cycle now) {
+  telemetry_capture_.BeginCapture(telemetry_->counter_ids());
+  TelemetrySnapshot(now, telemetry_capture_);
+  return telemetry_capture_;
+}
+
+void System::TelemetrySnapshot(Cycle now, StatSet& snap) const {
   controller_->ExportStats(snap);
   controller_->SampleTelemetry(snap);
   ExportCoreStats(snap);
@@ -278,7 +283,6 @@ StatSet System::TelemetrySnapshot(Cycle now) const {
   const std::uint64_t elapsed = ticks_executed_ + cycles_skipped_;
   snap.Counter("gauge.skip_pct") =
       elapsed == 0 ? 0 : cycles_skipped_ * 100 / elapsed;
-  return snap;
 }
 
 void System::ExportCoreStats(StatSet& stats) const {

@@ -112,7 +112,11 @@ class System : private MemoryPort {
   /// Cumulative stats + gauges as of `now` — the same snapshot the epoch
   /// sampler sees. Public so restore paths can seed telemetry baselines
   /// and the sampler can difference measurement intervals.
-  StatSet CumulativeStats(Cycle now) const { return TelemetrySnapshot(now); }
+  StatSet CumulativeStats(Cycle now) const {
+    StatSet snap;
+    TelemetrySnapshot(now, snap);
+    return snap;
+  }
 
   const MemController& controller() const { return *controller_; }
   MemController& controller() { return *controller_; }
@@ -129,8 +133,12 @@ class System : private MemoryPort {
   void RebuildCoreWakes();
 
   void ExportCoreStats(StatSet& stats) const;
-  /// One cumulative snapshot for the epoch sampler (stats + gauges).
-  StatSet TelemetrySnapshot(Cycle now) const;
+  /// One cumulative snapshot for the epoch sampler (stats + gauges),
+  /// written into `snap`: a plain StatSet, or a capture (CaptureEpoch).
+  void TelemetrySnapshot(Cycle now, StatSet& snap) const;
+  /// The snapshot captured against the sampler's counter IDs, reusing
+  /// telemetry_capture_ every epoch (no name map is built).
+  const StatSet& CaptureEpoch(Cycle now);
 
   CacheHierarchy hierarchy_;
   std::unique_ptr<MemController> controller_;
@@ -139,6 +147,7 @@ class System : private MemoryPort {
   std::deque<Addr> wb_queue_;
   RequestObserver observer_;
   obs::EpochSampler* telemetry_ = nullptr;
+  StatSet telemetry_capture_;
   std::unique_ptr<tenant::TenantAccounting> tenant_acct_;
   /// Set by TrySubmitRead / the writeback drain: the controller's stored
   /// wake predates the new input, so it must be ticked at the next visit

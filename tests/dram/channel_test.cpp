@@ -194,5 +194,45 @@ TEST(DramChannel, NextEventHintAdvances) {
   EXPECT_LE(h.ch_.NextEventHint(100), 102u);
 }
 
+// A channel that just issued an ACTIVATE for its only queued read has
+// nothing to do until the column command's tRCD gate: its hint is that
+// cycle, not the next command slot.
+TEST(DramChannelWake, ActivateSleepsUntilTheColumnIsReady) {
+  ChannelHarness h;
+  h.ch_.Enqueue(h.MakeReq(0, false, 0));
+  std::vector<DramCompletion> done;
+  h.ch_.Tick(0, done);
+  ASSERT_EQ(h.ch_.counters().activates, 1u);
+  const Cycle column_at = TimingLanes::AlignUp(h.cfg_.timing.tRCD);
+  EXPECT_EQ(h.ch_.NextEventHint(0), column_at);
+  // The hint is exact: the column command issues on that cycle.
+  for (Cycle t = 1; t <= column_at; ++t) h.ch_.Tick(t, done);
+  EXPECT_EQ(h.ch_.counters().row_hits, 1u);
+}
+
+// An idle channel whose refresh is due but blocked (a write's recovery
+// holds its bank open) sleeps until the bank can close. It must not hint
+// at or before `now`, which makes the run loop poll every cycle.
+TEST(DramChannelWake, IdleChannelWithBlockedRefreshHintsPastNow) {
+  ChannelHarness h;
+  const auto& t = h.cfg_.timing;
+  const std::uint32_t rank = h.MakeReq(0, true, 0).loc.rank;
+  const Cycle refresh_due = t.tREFI / 2 + rank * (t.tREFI / 8);
+  const Cycle arrive = refresh_due - 40;
+  std::vector<DramCompletion> done;
+  Cycle blocked_cycles = 0;
+  for (Cycle now = 0; now < refresh_due + t.tRFC; ++now) {
+    if (now == arrive) h.ch_.Enqueue(h.MakeReq(0, true, now));
+    h.ch_.Tick(now, done);
+    if (now >= refresh_due && h.ch_.QueueSize() == 0 &&
+        !h.ch_.RankRefreshing(rank, now) && h.ch_.counters().refreshes == 0) {
+      ++blocked_cycles;
+    }
+    ASSERT_GT(h.ch_.NextEventHint(now), now) << "cycle " << now;
+  }
+  EXPECT_GT(blocked_cycles, 0u) << "the refresh was never due but blocked";
+  EXPECT_EQ(h.ch_.counters().refreshes, 1u);
+}
+
 }  // namespace
 }  // namespace redcache

@@ -133,5 +133,23 @@ TEST(DramSystem, RefreshingQueryReflectsRankState) {
   EXPECT_TRUE(saw_refresh);
 }
 
+// An enqueue that lands after the device tick at `now` cannot be served at
+// `now` any more: the channel re-arms at the next command slot or later,
+// never at a past or due-now cycle that would buy an empty visit.
+TEST(DramSystem, EnqueueAfterTheTickWakesAtTheNextSlotOrLater) {
+  DramSystem sys(HbmCacheConfig(8_MiB));
+  for (const Cycle now : {Cycle{100}, Cycle{101}}) {
+    sys.Tick(now);
+    sys.Enqueue(now * 64, false, now);
+    EXPECT_GE(sys.NextEventHint(now), TimingLanes::AlignUp(now + 1))
+        << "cycle " << now;
+  }
+  // Before this cycle's tick the request may still issue at `now`.
+  DramSystem fresh(HbmCacheConfig(8_MiB));
+  fresh.Tick(199);
+  fresh.Enqueue(0, false, 200);
+  EXPECT_LE(fresh.NextEventHint(200), Cycle{200});
+}
+
 }  // namespace
 }  // namespace redcache

@@ -53,7 +53,12 @@ std::vector<ScheduledRef> BuildSchedule(std::uint64_t seed, Addr addr_mod) {
   return refs;
 }
 
-TEST(WakeConservative, DramSystemMatchesPerCycleReference) {
+/// When a scheduled request reaches the device relative to the device tick
+/// of its cycle. A controller enqueues on both sides: deferred ops pumped
+/// before the tick, fills and new transactions after it.
+enum class EnqueueOrder { kBeforeTick, kMixed };
+
+void RunDramSystemDifferential(EnqueueOrder order) {
   const auto refs = BuildSchedule(/*seed=*/7, /*addr_mod=*/4_MiB);
 
   DramSystem ref(HbmCacheConfig(4_MiB));
@@ -61,6 +66,7 @@ TEST(WakeConservative, DramSystemMatchesPerCycleReference) {
   std::vector<DramCompletion> done_ref, done_sub;
   Cycle sub_wake = 0;
   std::uint64_t sub_ticks = 0;
+  std::uint64_t after_tick = 0;
   std::size_t cursor = 0;
   Cycle now = 0;
 
@@ -69,31 +75,46 @@ TEST(WakeConservative, DramSystemMatchesPerCycleReference) {
     out.insert(out.end(), c.begin(), c.end());
     c.clear();
   };
+  // Offers the next due reference to both systems; true if it was taken.
+  const auto enqueue = [&]() {
+    if (cursor >= refs.size() || now < refs[cursor].at) return false;
+    const ScheduledRef& r = refs[cursor];
+    const bool can_ref = ref.CanAccept(r.addr);
+    EXPECT_EQ(can_ref, sub.CanAccept(r.addr)) << "cycle " << now;
+    if (!can_ref) return false;
+    ref.Enqueue(r.addr, r.is_write, now);
+    sub.Enqueue(r.addr, r.is_write, now);
+    sub_wake = std::min(sub_wake, sub.NextEventHint(now));
+    ++cursor;
+    return true;
+  };
 
   while (cursor < refs.size() || !ref.TransactionQueuesEmpty() ||
          !sub.TransactionQueuesEmpty() || ref.inflight() != 0 ||
          sub.inflight() != 0) {
     ASSERT_LT(now, Cycle{50'000'000}) << "drain did not converge";
-    if (cursor < refs.size() && now >= refs[cursor].at) {
-      const ScheduledRef& r = refs[cursor];
-      const bool can_ref = ref.CanAccept(r.addr);
-      ASSERT_EQ(can_ref, sub.CanAccept(r.addr)) << "cycle " << now;
-      if (can_ref) {
-        ref.Enqueue(r.addr, r.is_write, now);
-        sub.Enqueue(r.addr, r.is_write, now);
-        sub_wake = std::min(sub_wake, sub.NextEventHint(now));
-        ++cursor;
-      }
-    }
+    // Mixed order sends every other reference after the tick, so both
+    // re-arm paths (EnqueueWake before, the post-tick hint after) run.
+    const bool late = order == EnqueueOrder::kMixed && cursor % 2 == 1;
+    if (!late) enqueue();
     ref.Tick(now);
     drain(ref, done_ref);
-    if (now >= sub_wake) {
+    const bool sub_ticked = now >= sub_wake;
+    if (sub_ticked) {
       sub.Tick(now);
       sub_wake = sub.NextEventHint(now);
       ++sub_ticks;
       drain(sub, done_sub);
     }
+    if (late && enqueue() && sub_ticked) {
+      // Done with `now`: the re-armed wake must not buy an empty visit.
+      ASSERT_GT(sub_wake, now) << "post-tick enqueue re-armed in the past";
+      ++after_tick;
+    }
     ++now;
+  }
+  if (order == EnqueueOrder::kMixed) {
+    EXPECT_GT(after_tick, refs.size() / 8) << "too few post-tick enqueues";
   }
 
   ASSERT_EQ(done_ref.size(), done_sub.size());
@@ -128,6 +149,14 @@ TEST(WakeConservative, DramSystemMatchesPerCycleReference) {
   ref.ExportStats(stats_ref);
   sub.ExportStats(stats_sub);
   EXPECT_EQ(stats_ref.counters(), stats_sub.counters());
+}
+
+TEST(WakeConservative, DramSystemMatchesPerCycleReference) {
+  RunDramSystemDifferential(EnqueueOrder::kBeforeTick);
+}
+
+TEST(WakeConservative, DramSystemMatchesPerCycleReferenceEnqueueAfterTick) {
+  RunDramSystemDifferential(EnqueueOrder::kMixed);
 }
 
 class ControllerWakeConservative

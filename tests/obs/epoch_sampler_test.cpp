@@ -39,13 +39,13 @@ TEST(EpochSampler, SplitsGaugesFromDeltas) {
   ASSERT_EQ(epochs.size(), 2u);
   EXPECT_EQ(epochs[0].begin, 0u);
   EXPECT_EQ(epochs[0].end, 100u);
-  EXPECT_EQ(epochs[0].delta.at("ctrl.cache_hits"), 10);
-  EXPECT_EQ(epochs[1].delta.at("ctrl.cache_hits"), 15);
-  EXPECT_EQ(epochs[1].delta.at("ctrl.cache_misses"), 1);
+  EXPECT_EQ(epochs[0].Delta("ctrl.cache_hits"), 10);
+  EXPECT_EQ(epochs[1].Delta("ctrl.cache_hits"), 15);
+  EXPECT_EQ(epochs[1].Delta("ctrl.cache_misses"), 1);
   // Gauges are raw point-in-time values, never differenced, prefix stripped.
-  EXPECT_EQ(epochs[0].gauges.at("rcu_depth"), 7u);
-  EXPECT_EQ(epochs[1].gauges.at("rcu_depth"), 3u);
-  EXPECT_EQ(epochs[1].delta.count("gauge.rcu_depth"), 0u);
+  EXPECT_EQ(epochs[0].Gauge("rcu_depth"), 7u);
+  EXPECT_EQ(epochs[1].Gauge("rcu_depth"), 3u);
+  EXPECT_FALSE(epochs[1].HasDelta("gauge.rcu_depth"));
 }
 
 TEST(EpochSampler, DeltasMayGoNegative) {
@@ -56,7 +56,7 @@ TEST(EpochSampler, DeltasMayGoNegative) {
   b.Counter("ctrl.resident_lines") = 40;
   sampler.Sample(10, a);
   sampler.Sample(20, b);
-  EXPECT_EQ(sampler.epochs()[1].delta.at("ctrl.resident_lines"), -60);
+  EXPECT_EQ(sampler.epochs()[1].Delta("ctrl.resident_lines"), -60);
 }
 
 TEST(EpochSampler, DeltasTelescopeToFinalCumulative) {
@@ -72,7 +72,7 @@ TEST(EpochSampler, DeltasTelescopeToFinalCumulative) {
 
   std::int64_t sum = 0;
   for (const EpochRecord& e : sampler.epochs()) {
-    sum += e.delta.at("ctrl.cache_hits");
+    sum += e.Delta("ctrl.cache_hits");
   }
   EXPECT_EQ(sum, static_cast<std::int64_t>(hits + 5));
   // Epochs tile the run: each begins where the previous ended.
@@ -86,8 +86,8 @@ TEST(EpochSampler, FinalizeOnSampleBoundaryRefreshesGaugesOnly) {
   sampler.Sample(100, Snap(10, 0, 9));
   sampler.Finalize(100, Snap(10, 0, 0));
   ASSERT_EQ(sampler.epochs().size(), 1u);
-  EXPECT_EQ(sampler.epochs()[0].gauges.at("rcu_depth"), 0u);
-  EXPECT_EQ(sampler.epochs()[0].delta.at("ctrl.cache_hits"), 10);
+  EXPECT_EQ(sampler.epochs()[0].Gauge("rcu_depth"), 0u);
+  EXPECT_EQ(sampler.epochs()[0].Delta("ctrl.cache_hits"), 10);
 }
 
 TEST(EpochSampler, CounterAppearingMidRunDeltasFromZero) {
@@ -98,8 +98,8 @@ TEST(EpochSampler, CounterAppearingMidRunDeltasFromZero) {
   StatSet second = first;
   second.Counter("late.counter") = 5;
   sampler.Sample(20, second);
-  EXPECT_EQ(sampler.epochs()[0].delta.count("late.counter"), 0u);
-  EXPECT_EQ(sampler.epochs()[1].delta.at("late.counter"), 5);
+  EXPECT_FALSE(sampler.epochs()[0].HasDelta("late.counter"));
+  EXPECT_EQ(sampler.epochs()[1].Delta("late.counter"), 5);
 }
 
 TEST(TelemetryJson, ParsesAndCarriesDerivedMetrics) {
@@ -282,12 +282,12 @@ TEST(AdaptiveEpoch, ShrinksAcrossPhaseChangeAndGrowsBackWhenFlat) {
 TEST(AdaptiveEpoch, RecordsCarryWidthGaugeOnlyWhenAdaptive) {
   EpochSampler fixed(100);
   fixed.Sample(100, RateSnap(1, 1));
-  EXPECT_EQ(fixed.epochs()[0].gauges.count("telemetry.epoch_cycles"), 0u);
+  EXPECT_FALSE(fixed.epochs()[0].HasGauge("telemetry.epoch_cycles"));
 
   EpochSampler adaptive(100);
   adaptive.EnableAdaptive({});
   adaptive.Sample(100, RateSnap(1, 1));
-  EXPECT_EQ(adaptive.epochs()[0].gauges.at("telemetry.epoch_cycles"), 100u);
+  EXPECT_EQ(adaptive.epochs()[0].Gauge("telemetry.epoch_cycles"), 100u);
 }
 
 TEST(AdaptiveEpoch, DeltasTelescopeAcrossResizingAndResidualFinalize) {
@@ -320,8 +320,8 @@ TEST(AdaptiveEpoch, DeltasTelescopeAcrossResizingAndResidualFinalize) {
 
   std::int64_t hit_sum = 0, miss_sum = 0;
   for (const EpochRecord& e : sampler.epochs()) {
-    hit_sum += e.delta.at("ctrl.cache_hits");
-    miss_sum += e.delta.at("ctrl.cache_misses");
+    hit_sum += e.Delta("ctrl.cache_hits");
+    miss_sum += e.Delta("ctrl.cache_misses");
   }
   EXPECT_EQ(hit_sum, static_cast<std::int64_t>(hits));
   EXPECT_EQ(miss_sum, static_cast<std::int64_t>(misses));
@@ -347,7 +347,7 @@ TEST(EpochSampler, SinkWithoutRetentionKeepsOnlyLastRecordButCounts) {
   StatSet last = RateSnap(5, 0);
   last.Counter("gauge.rcu_depth") = 3;
   sampler.Finalize(50, last);
-  EXPECT_EQ(sampler.epochs().back().gauges.at("rcu_depth"), 3u);
+  EXPECT_EQ(sampler.epochs().back().Gauge("rcu_depth"), 3u);
 }
 
 }  // namespace

@@ -57,7 +57,7 @@ TEST(TelemetryIntegration, EpochDeltasSumToFinalCounters) {
 
   std::map<std::string, std::int64_t> totals;
   for (const obs::EpochRecord& e : sampler.epochs()) {
-    for (const auto& [name, delta] : e.delta) totals[name] += delta;
+    for (const auto& [name, delta] : e.Deltas()) totals[name] += delta;
   }
   ASSERT_FALSE(totals.empty());
   // Every counter the run also reports must telescope exactly; spot-check
@@ -74,9 +74,9 @@ TEST(TelemetryIntegration, EpochDeltasSumToFinalCounters) {
 
   // RedCache-specific gauges ride along in the final epoch.
   const obs::EpochRecord& last = sampler.epochs().back();
-  EXPECT_TRUE(last.gauges.count("gamma"));
-  EXPECT_TRUE(last.gauges.count("alpha"));
-  EXPECT_TRUE(last.gauges.count("rcu_depth"));
+  EXPECT_TRUE(last.HasGauge("gamma"));
+  EXPECT_TRUE(last.HasGauge("alpha"));
+  EXPECT_TRUE(last.HasGauge("rcu_depth"));
 
   // And the serialized series parses.
   obs::JsonValue doc;
