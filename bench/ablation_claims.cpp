@@ -28,7 +28,7 @@ void LastWriteAndUniformity() {
   // Profiling runs are independent per workload; fan out, print in order.
   ParallelFor(workloads.size(), 0, [&](std::size_t i) {
     RunSpec spec;
-    spec.arch = Arch::kNoHbm;
+    spec.policy = "No-HBM";
     spec.workload = workloads[i];
     spec.preset = EvalPreset();
     auto system = BuildSystem(spec);
@@ -67,10 +67,10 @@ void RcuStatistics() {
   TextTable table({"workload", "parked updates", "merged (cond.1)",
                    "idle (cond.2)", "capacity (cond.3)",
                    "deferred past insert"});
-  RunCellsAhead(GridCells({Arch::kRedCache}, SelectedWorkloads()),
+  RunCellsAhead(GridCells({"RedCache"}, SelectedWorkloads()),
                 "ablation-rcu");
   for (const std::string& wl : SelectedWorkloads()) {
-    const CellResult r = RunCell(Arch::kRedCache, wl);
+    const CellResult r = RunCell("RedCache", wl);
     const double inserts =
         static_cast<double>(r.stats.GetCounter("ctrl.rcu_inserts"));
     if (inserts == 0) {
@@ -116,8 +116,8 @@ void StaticAlphaSweep() {
     wp.num_cores = preset.hierarchy.num_cores;
     wp.scale = EffectiveScale(1.0);
     auto trace = MakeWorkload(wl, wp);
-    auto ctrl =
-        std::make_unique<RedCacheController>(preset.mem, opt, "static-alpha");
+    auto ctrl = std::make_unique<RedCacheController>(preset.mem, opt, 1,
+                                                     "static-alpha");
     System system(preset.hierarchy, preset.core, std::move(ctrl),
                   std::move(trace));
     execs[i] = system.Run().exec_cycles;

@@ -42,10 +42,10 @@ CellSpec MixCell(const std::string& policy,
   return cell;
 }
 
-/// The paper's evaluation archs plus every registry policy with sweep=true.
+/// The paper's evaluation policies plus every registry policy with
+/// sweep=true.
 std::vector<std::string> SweepPolicies() {
-  std::vector<std::string> out;
-  for (const Arch a : EvaluationArchs()) out.push_back(ToString(a));
+  std::vector<std::string> out = EvaluationPolicies();
   for (const std::string& name : PolicyRegistry::Instance().SweepNames()) {
     if (std::find(out.begin(), out.end(), name) == out.end()) {
       out.push_back(name);

@@ -24,7 +24,7 @@ RunResult RunWithOptions(const std::string& workload, double scale,
   wp.scale = EffectiveScale(scale);
   auto trace = MakeWorkload(workload, wp);
   auto ctrl =
-      std::make_unique<RedCacheController>(preset.mem, opt, "tuned");
+      std::make_unique<RedCacheController>(preset.mem, opt, 1, "tuned");
   System system(preset.hierarchy, preset.core, std::move(ctrl),
                 std::move(trace));
   return system.Run();

@@ -2,8 +2,9 @@
 //
 //   ./build/examples/quickstart [workload] [scale]
 //
-// Demonstrates the three-line public API: pick an architecture, pick a
-// workload, run, read the metrics.
+// Demonstrates the three-line public API: pick a policy (a registry name;
+// `redcache_cli --list` shows them), pick a workload, run, read the
+// metrics.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -27,9 +28,9 @@ int main(int argc, char** argv) {
                    "system energy (mJ)"});
 
   double alloy_cycles = 0;
-  for (const Arch arch : {Arch::kAlloy, Arch::kBear, Arch::kRedCache}) {
+  for (const char* policy : {"Alloy", "Bear", "RedCache"}) {
     RunSpec spec;
-    spec.arch = arch;
+    spec.policy = policy;
     spec.workload = workload;
     spec.scale = scale;
     const RunResult r = RunOne(spec);
@@ -40,11 +41,11 @@ int main(int argc, char** argv) {
         hits + misses == 0
             ? 0.0
             : static_cast<double>(hits) / static_cast<double>(hits + misses);
-    if (arch == Arch::kAlloy) {
+    if (spec.policy == "Alloy") {
       alloy_cycles = static_cast<double>(r.exec_cycles);
     }
     table.AddRow({
-        ToString(arch),
+        policy,
         std::to_string(r.exec_cycles),
         TextTable::Num(alloy_cycles / static_cast<double>(r.exec_cycles), 2) +
             "x",

@@ -29,7 +29,7 @@ AlloyController::AlloyController(MemControllerConfig cfg)
 
 void AlloyController::Fill(Addr addr, bool dirty, Cycle now) {
   const std::uint64_t set = tags_.SetOf(addr);
-  DirectMappedTags::Line& line = tags_.line(set);
+  TagStore::Line& line = tags_.line(set);
   if (line.valid) {
     evictions_++;
     if (line.dirty) {
@@ -116,13 +116,6 @@ void AlloyController::OnDeviceComplete(Txn& txn, bool /*from_hbm*/,
   }
 }
 
-void AlloyController::RecountResident() {
-  resident_ = 0;
-  for (std::uint64_t s = 0; s < tags_.num_sets(); ++s) {
-    resident_ += tags_.line(s).valid ? 1 : 0;
-  }
-}
-
 void AlloyController::ExportOwnStats(StatSet& stats) const {
   stats.Counter("ctrl.cache_hits") = hits_;
   stats.Counter("ctrl.cache_misses") = misses_;
@@ -156,7 +149,7 @@ void AlloyController::RestorePolicy(ser::Reader& r) {
   fills_ = r.U64();
   victim_writebacks_ = r.U64();
   evictions_ = r.U64();
-  RecountResident();
+  resident_ = tags_.CountValid();
 }
 
 }  // namespace redcache

@@ -40,10 +40,8 @@ class AlloyController : public ControllerBase {
 
   /// Valid lines currently resident (fills == evictions + resident).
   std::uint64_t ResidentLines() const { return resident_; }
-  /// Recount resident_ from the tag store (after a restore).
-  void RecountResident();
 
-  DirectMappedTags tags_;
+  TagStore tags_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t read_hits_ = 0;

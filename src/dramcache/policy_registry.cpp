@@ -157,6 +157,14 @@ std::vector<std::string> PolicyRegistry::SweepNames() const {
   return FilterNames(*this, &PolicyInfo::sweep);
 }
 
+const std::vector<std::string>& EvaluationPolicies() {
+  static const std::vector<std::string> kPolicies = {
+      "Alloy",     "Bear",       "Red-Alpha", "Red-Gamma",
+      "Red-Basic", "Red-InSitu", "RedCache",
+  };
+  return kPolicies;
+}
+
 std::unique_ptr<MemController> MakePolicy(const std::string& name,
                                           const MemControllerConfig& cfg) {
   return PolicyRegistry::Instance().Get(name).make(cfg);

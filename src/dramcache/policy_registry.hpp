@@ -86,6 +86,10 @@ class PolicyRegistry {
   Impl& impl() const;
 };
 
+/// The seven policies of the paper's Fig. 9-11 comparison, in its order
+/// (Alloy first: the figures normalize to it; RedCache last).
+const std::vector<std::string>& EvaluationPolicies();
+
 /// Construct the policy registered under `name`. Unknown names throw
 /// std::invalid_argument with the full list of registered policies.
 std::unique_ptr<MemController> MakePolicy(const std::string& name,

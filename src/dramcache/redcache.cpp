@@ -1,74 +1,78 @@
 #include "dramcache/redcache.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
+#include "common/check.hpp"
 #include "dramcache/policy_registry.hpp"
 #include "obs/trace_macros.hpp"
 
 namespace redcache {
 
-REDCACHE_REGISTER_POLICY(
-    red_alpha, {.name = "Red-Alpha",
-                .summary = "direct-mapped cache + alpha admission only",
-                .family = "redcache",
-                .differential = false,
-                .golden = false,
-                .sweep = true,
-                .make = [](const MemControllerConfig& cfg) {
-                  return std::make_unique<RedCacheController>(
-                      cfg, RedCacheOptions::AlphaOnly(), "red-alpha");
-                }});
+namespace {
+/// Registry entry for one RedCache option set at `ways`. The N-way
+/// extensions stay out of the default sweep.
+PolicyInfo RedCachePolicy(std::string name, std::string summary,
+                          RedCacheOptions options, std::uint32_t ways,
+                          const char* display, bool differential,
+                          bool golden) {
+  return {.name = std::move(name),
+          .summary = std::move(summary),
+          .family = "redcache",
+          .differential = differential,
+          .golden = golden,
+          .sweep = ways == 1,
+          .make = [options, ways, display](const MemControllerConfig& cfg) {
+            return std::make_unique<RedCacheController>(cfg, options, ways,
+                                                        display);
+          }};
+}
+
+PolicyInfo NWayPolicy(std::string name, std::uint32_t ways,
+                      const char* display) {
+  return RedCachePolicy(
+      std::move(name),
+      std::to_string(ways) + "-way LRU RedCache (R-Cache direction extension)",
+      RedCacheOptions::Full(), ways, display, /*differential=*/true,
+      /*golden=*/false);
+}
+}  // namespace
 
 REDCACHE_REGISTER_POLICY(
-    red_gamma, {.name = "Red-Gamma",
-                .summary = "Alloy + in-DRAM gamma last-write counting only",
-                .family = "redcache",
-                .differential = false,
-                .golden = false,
-                .sweep = true,
-                .make = [](const MemControllerConfig& cfg) {
-                  return std::make_unique<RedCacheController>(
-                      cfg, RedCacheOptions::GammaOnly(), "red-gamma");
-                }});
-
+    red_alpha, (RedCachePolicy("Red-Alpha",
+                               "direct-mapped cache + alpha admission only",
+                               RedCacheOptions::AlphaOnly(), 1, "red-alpha",
+                               /*differential=*/false, /*golden=*/false)));
 REDCACHE_REGISTER_POLICY(
-    red_basic, {.name = "Red-Basic",
-                .summary = "alpha + gamma with immediate r-count updates "
-                           "(no RCU)",
-                .family = "redcache",
-                .differential = true,
-                .golden = false,
-                .sweep = true,
-                .make = [](const MemControllerConfig& cfg) {
-                  return std::make_unique<RedCacheController>(
-                      cfg, RedCacheOptions::Basic(), "red-basic");
-                }});
-
+    red_gamma,
+    (RedCachePolicy("Red-Gamma",
+                    "Alloy + in-DRAM gamma last-write counting only",
+                    RedCacheOptions::GammaOnly(), 1, "red-gamma",
+                    /*differential=*/false, /*golden=*/false)));
 REDCACHE_REGISTER_POLICY(
-    red_insitu, {.name = "Red-InSitu",
-                 .summary = "alpha + gamma with free in-DRAM updates "
-                            "(upper bound)",
-                 .family = "redcache",
-                 .differential = false,
-                 .golden = false,
-                 .sweep = true,
-                 .make = [](const MemControllerConfig& cfg) {
-                   return std::make_unique<RedCacheController>(
-                       cfg, RedCacheOptions::InSitu(), "red-insitu");
-                 }});
-
+    red_basic,
+    (RedCachePolicy("Red-Basic",
+                    "alpha + gamma with immediate r-count updates (no RCU)",
+                    RedCacheOptions::Basic(), 1, "red-basic",
+                    /*differential=*/true, /*golden=*/false)));
 REDCACHE_REGISTER_POLICY(
-    redcache_full, {.name = "RedCache",
-                    .summary = "full proposal: alpha + gamma + RCU + "
-                               "bypass-on-refresh",
-                    .family = "redcache",
-                    .differential = true,
-                    .golden = true,
-                    .sweep = true,
-                    .make = [](const MemControllerConfig& cfg) {
-                      return std::make_unique<RedCacheController>(
-                          cfg, RedCacheOptions::Full(), "redcache");
-                    }});
+    red_insitu,
+    (RedCachePolicy("Red-InSitu",
+                    "alpha + gamma with free in-DRAM updates (upper bound)",
+                    RedCacheOptions::InSitu(), 1, "red-insitu",
+                    /*differential=*/false, /*golden=*/false)));
+REDCACHE_REGISTER_POLICY(
+    redcache_full,
+    (RedCachePolicy("RedCache",
+                    "full proposal: alpha + gamma + RCU + bypass-on-refresh",
+                    RedCacheOptions::Full(), 1, "redcache",
+                    /*differential=*/true, /*golden=*/true)));
+REDCACHE_REGISTER_POLICY(redcache_2way,
+                         (NWayPolicy("RedCache-2way", 2, "redcache-2way")));
+REDCACHE_REGISTER_POLICY(redcache_4way,
+                         (NWayPolicy("RedCache-4way", 4, "redcache-4way")));
+REDCACHE_REGISTER_POLICY(redcache_8way,
+                         (NWayPolicy("RedCache-8way", 8, "redcache-8way")));
 
 namespace {
 /// Policy-decision trace event (policy device renders on one track).
@@ -84,9 +88,10 @@ obs::TraceEvent PolicyEvent(Cycle now, obs::TraceEventType type, Addr addr,
 
 namespace {
 enum State {
-  kProbe = 0,    ///< waiting for the TAD probe read
+  kProbe = 0,    ///< waiting for the TAD probe read (txn.aux: probed way)
   kMissFetch,    ///< waiting for main memory after a probe miss
   kDirectFetch,  ///< bypassed read served by main memory
+  kWayFetch,     ///< hit on a way the probe did not return: extra burst
 };
 
 /// Latency of a read served out of the RCU data RAM (SRAM on the
@@ -96,16 +101,21 @@ constexpr Cycle kRcuServeLatency = 6;
 
 RedCacheController::RedCacheController(MemControllerConfig cfg,
                                        RedCacheOptions options,
+                                       std::uint32_t ways,
                                        const char* display_name)
     : ControllerBase((cfg.has_hbm = true, cfg)),
       opt_(options),
       display_name_(display_name),
-      tags_(cfg.hbm.geometry.capacity_bytes, /*line_blocks=*/1),
+      tags_(cfg.hbm.geometry.capacity_bytes, /*line_blocks=*/1, ways),
       alpha_(options.alpha),
       gamma_(options.gamma),
       rcu_(options.rcu_entries),
       recent_invalidations_(16384, ~Addr{0}) {
   assert(cfg.line_blocks == 1 && "RedCache is a fine-grained (64 B) cache");
+  if (tags_.num_sets() == 0) {
+    throw std::invalid_argument(std::to_string(ways) +
+                                " ways leave no set in the HBM capacity");
+  }
 }
 
 void RedCacheController::NoteGammaInvalidation(Addr block) {
@@ -122,9 +132,9 @@ void RedCacheController::CheckPrematureInvalidation(Addr block) {
   }
 }
 
-void RedCacheController::InvalidateBlock(std::uint64_t set,
+void RedCacheController::InvalidateBlock(std::uint64_t set, std::uint32_t way,
                                          bool lifetime_sample) {
-  DirectMappedTags::Line& line = tags_.line(set);
+  TagStore::Line& line = tags_.line(set, way);
   if (!line.write_filled) {
     // Alpha's feedback judges demand admissions only; trailing write fills
     // would otherwise dominate the dead-fill statistic and push alpha up.
@@ -135,26 +145,36 @@ void RedCacheController::InvalidateBlock(std::uint64_t set,
     gamma_.OnLifetimeSample(line.r_count);
   }
   departures_++;
+  resident_--;
   line.valid = false;
   line.dirty = false;
 }
 
-void RedCacheController::Fill(Addr addr, bool dirty, Cycle now) {
+void RedCacheController::Fill(Addr addr, bool dirty, std::uint32_t probed_way,
+                              Cycle now) {
   const std::uint64_t set = tags_.SetOf(addr);
-  DirectMappedTags::Line& line = tags_.line(set);
+  const std::uint32_t way = tags_.VictimWay(set);
+  TagStore::Line& line = tags_.line(set, way);
   if (line.valid) {
-    rcu_.Remove(tags_.VictimAddr(set));
+    const Addr victim = tags_.VictimAddr(set, way);
+    rcu_.Remove(victim);
     if (line.dirty && !opt_.testing_drop_victim_writeback) {
-      // Victim data came back with the probe read; push it off-package.
-      NotifyVictimWriteback(tags_.VictimAddr(set));
+      // Victim data came back with the probe read when the probe returned
+      // this way; any other way is streamed out first. Then push it
+      // off-package.
+      if (way != probed_way) {
+        SendHbm(kPostedOp, tags_.HbmAddr(set, victim, way),
+                /*is_write=*/false, now);
+      }
+      NotifyVictimWriteback(victim);
       REDCACHE_TRACE_EVENT(PolicyEvent(
-          now, obs::TraceEventType::kVictimWriteback, tags_.VictimAddr(set)));
-      SendMm(kPostedOp, tags_.VictimAddr(set), /*is_write=*/true, now);
+          now, obs::TraceEventType::kVictimWriteback, victim));
+      SendMm(kPostedOp, victim, /*is_write=*/true, now);
       victim_writebacks_++;
     } else {
-      NotifyInvalidate(tags_.VictimAddr(set));
+      NotifyInvalidate(victim);
     }
-    InvalidateBlock(set, /*lifetime_sample=*/true);
+    InvalidateBlock(set, way, /*lifetime_sample=*/true);
   }
   NotifyFill(addr, dirty);
   line.valid = true;
@@ -162,8 +182,10 @@ void RedCacheController::Fill(Addr addr, bool dirty, Cycle now) {
   line.write_filled = dirty;  // fills carrying store data arrive dirty
   line.tag = tags_.TagOf(addr);
   line.r_count = 0;
-  SendHbm(kPostedOp, tags_.HbmAddr(set, addr), /*is_write=*/true, now);
+  tags_.Touch(set, way);
+  SendHbm(kPostedOp, tags_.HbmAddr(set, addr, way), /*is_write=*/true, now);
   fills_++;
+  resident_++;
   REDCACHE_TRACE_EVENT(
       PolicyEvent(now, obs::TraceEventType::kFill, addr, dirty ? 1 : 0));
 }
@@ -189,14 +211,13 @@ void RedCacheController::StartTxn(Txn& txn, Cycle now) {
     // Presence comes from the controller-side tag mirror, like the refresh
     // bypass below.
     const std::uint64_t cold_set = tags_.SetOf(txn.addr);
-    const DirectMappedTags::Line& cold_line = tags_.line(cold_set);
-    const bool present =
-        cold_line.valid && cold_line.tag == tags_.TagOf(txn.addr);
+    const std::uint32_t cold_way = tags_.FindWay(txn.addr);
+    const bool present = cold_way != tags_.ways();
     if (txn.is_writeback && present) {
       // Main memory receives the newest data; the cached copy is stale now.
       rcu_.Remove(txn.addr);
       NotifyMmWrite(txn.addr);
-      InvalidateBlock(cold_set, /*lifetime_sample=*/false);
+      InvalidateBlock(cold_set, cold_way, /*lifetime_sample=*/false);
       NotifyInvalidate(txn.addr);
       alpha_bypasses_++;
       REDCACHE_TRACE_EVENT(PolicyEvent(
@@ -205,7 +226,8 @@ void RedCacheController::StartTxn(Txn& txn, Cycle now) {
       FreeTxn(txn);
       return;
     }
-    if (txn.is_writeback || !present || !cold_line.dirty) {
+    if (txn.is_writeback || !present ||
+        !tags_.line(cold_set, cold_way).dirty) {
       alpha_bypasses_++;
       REDCACHE_TRACE_EVENT(PolicyEvent(
           now, obs::TraceEventType::kAlphaBypass, txn.addr, alpha_.alpha()));
@@ -221,12 +243,17 @@ void RedCacheController::StartTxn(Txn& txn, Cycle now) {
   // --- RCU block cache: recently read blocks are still on the die. -------
   if (opt_.update_mode == RedCacheOptions::UpdateMode::kRcu &&
       !txn.is_writeback && rcu_.Contains(txn.addr)) {
+    // Parked blocks are resident: every departure removes its RCU entry.
+    const std::uint32_t way = tags_.FindWay(txn.addr);
+    REDCACHE_CHECK(way != tags_.ways(), "RCU entry for a non-resident block");
     rcu_served_reads_++;
     hits_++;
     read_hits_++;
-    const std::uint32_t r = tags_.BumpRcount(set);
+    const std::uint32_t r = tags_.BumpRcount(set, way);
     if (opt_.gamma_enabled) gamma_.OnHit(r);
-    rcu_.Insert(txn.addr, hbm_->mapper().Map(tags_.HbmAddr(set, txn.addr)));
+    tags_.Touch(set, way);
+    rcu_.Insert(txn.addr,
+                hbm_->mapper().Map(tags_.HbmAddr(set, txn.addr, way)));
     NotifyServeRead(txn, ServeSource::kRcuRam);
     REDCACHE_TRACE_EVENT(
         PolicyEvent(now, obs::TraceEventType::kRcuServe, txn.addr, r));
@@ -235,19 +262,22 @@ void RedCacheController::StartTxn(Txn& txn, Cycle now) {
     return;
   }
 
+  // The probe reads every tag of the set plus the MRU way's data.
+  const std::uint32_t probe_way = tags_.MruWay(set);
+  const Addr probe_addr = tags_.HbmAddr(set, txn.addr, probe_way);
+
   // --- Bypass-on-refresh: don't queue behind a refreshing rank (only
   // worthwhile while the off-chip channel has headroom). ------------------
-  if (opt_.bypass_on_refresh &&
-      hbm_->Refreshing(tags_.HbmAddr(set, txn.addr), now) &&
+  if (opt_.bypass_on_refresh && hbm_->Refreshing(probe_addr, now) &&
       mm_->ChannelCanAccept(mm_->ChannelOf(txn.addr))) {
-    const DirectMappedTags::Line& line = tags_.line(set);
-    const bool present = line.valid && line.tag == tags_.TagOf(txn.addr);
+    const std::uint32_t way = tags_.FindWay(txn.addr);
+    const bool present = way != tags_.ways();
     if (txn.is_writeback) {
       // Main memory receives the newest data; any cached copy is stale now.
       NotifyMmWrite(txn.addr);
       if (present) {
         rcu_.Remove(txn.addr);
-        InvalidateBlock(set, /*lifetime_sample=*/false);
+        InvalidateBlock(set, way, /*lifetime_sample=*/false);
         NotifyInvalidate(txn.addr);
       }
       refresh_bypasses_++;
@@ -257,7 +287,7 @@ void RedCacheController::StartTxn(Txn& txn, Cycle now) {
       FreeTxn(txn);
       return;
     }
-    if (!present || !line.dirty) {
+    if (!present || !tags_.line(set, way).dirty) {
       // Clean or absent: the main-memory copy is current.
       refresh_bypasses_++;
       REDCACHE_TRACE_EVENT(
@@ -270,23 +300,24 @@ void RedCacheController::StartTxn(Txn& txn, Cycle now) {
   }
 
   txn.state = kProbe;
-  SendHbm(TxnIndex(txn), tags_.HbmAddr(set, txn.addr), /*is_write=*/false,
-          now);
+  txn.aux = probe_way;
+  SendHbm(TxnIndex(txn), probe_addr, /*is_write=*/false, now);
 }
 
 void RedCacheController::RecordReadHitUpdate(Addr block, std::uint64_t set,
-                                             Cycle now) {
+                                             std::uint32_t way, Cycle now) {
   switch (opt_.update_mode) {
     case RedCacheOptions::UpdateMode::kInSitu:
       insitu_updates_++;
       return;
     case RedCacheOptions::UpdateMode::kImmediate:
       immediate_updates_++;
-      SendHbm(kPostedOp, tags_.HbmAddr(set, block), /*is_write=*/true, now);
+      SendHbm(kPostedOp, tags_.HbmAddr(set, block, way), /*is_write=*/true,
+              now);
       return;
     case RedCacheOptions::UpdateMode::kRcu: {
       const auto evicted = rcu_.Insert(
-          block, hbm_->mapper().Map(tags_.HbmAddr(set, block)));
+          block, hbm_->mapper().Map(tags_.HbmAddr(set, block, way)));
       FlushRcuEntries(evicted, now, obs::kRcuFlushCapacity);
       return;
     }
@@ -298,25 +329,30 @@ void RedCacheController::FlushRcuEntries(
     std::uint64_t reason) {
   for (const RcuManager::Entry& e : entries) {
     const std::uint64_t set = tags_.SetOf(e.block);
+    // A block that left the cache after its update was popped (between the
+    // column command and PolicyTick) still drains: the write lands on the
+    // set's victim way, the only slot of a direct-mapped set.
+    std::uint32_t way = tags_.FindWay(e.block);
+    if (way == tags_.ways()) way = tags_.VictimWay(set);
     REDCACHE_TRACE_EVENT(
         PolicyEvent(now, obs::TraceEventType::kRcuFlush, e.block, reason));
     // The drain write targets a remapped set address; only `e.block` (the
     // CPU-visible block) identifies the tenant whose update is draining.
     TenantScope scope(*this, e.block);
     CountRcuDrain(e.block);
-    SendHbm(kPostedOp, tags_.HbmAddr(set, e.block), /*is_write=*/true, now);
+    SendHbm(kPostedOp, tags_.HbmAddr(set, e.block, way), /*is_write=*/true,
+            now);
   }
 }
 
 void RedCacheController::HandleProbeResult(Txn& txn, const DramCompletion& c,
                                            Cycle now) {
   const std::uint64_t set = tags_.SetOf(txn.addr);
-  DirectMappedTags::Line& line = tags_.line(set);
-  const bool hit = tags_.Hit(txn.addr);
+  const std::uint32_t way = tags_.FindWay(txn.addr);
 
-  if (hit) {
+  if (way != tags_.ways()) {
     hits_++;
-    const std::uint32_t r = tags_.BumpRcount(set);
+    const std::uint32_t r = tags_.BumpRcount(set, way);
     if (opt_.gamma_enabled) gamma_.OnHit(r);
 
     if (txn.is_writeback) {
@@ -330,29 +366,41 @@ void RedCacheController::HandleProbeResult(Txn& txn, const DramCompletion& c,
             now, obs::TraceEventType::kGammaInvalidate, txn.addr, r));
         rcu_.Remove(txn.addr);
         NotifyMmWrite(txn.addr);
-        InvalidateBlock(set, /*lifetime_sample=*/false);
+        InvalidateBlock(set, way, /*lifetime_sample=*/false);
         NotifyInvalidate(txn.addr);
         NoteGammaInvalidation(txn.addr);
         SendMm(kPostedOp, txn.addr, /*is_write=*/true, now);
       } else {
-        line.dirty = true;
+        tags_.line(set, way).dirty = true;
+        tags_.Touch(set, way);
         // A parked r-count update (and its RAM block copy) is superseded by
         // the write: drop it, or the RCU block cache would serve pre-write
         // data to the next read. The refreshed r-count rides inside the
         // data write's tag/ECC bits.
         rcu_.Remove(txn.addr);
         NotifyCacheWrite(txn.addr);
-        SendHbm(kPostedOp, tags_.HbmAddr(set, txn.addr), /*is_write=*/true,
-                now);
+        SendHbm(kPostedOp, tags_.HbmAddr(set, txn.addr, way),
+                /*is_write=*/true, now);
       }
       FreeTxn(txn);
       return;
     }
 
     read_hits_++;
+    tags_.Touch(set, way);
     NotifyServeRead(txn, ServeSource::kCache);
+    RecordReadHitUpdate(txn.addr, set, way, now);
+    if (way != txn.aux) {
+      // The probe returned another way's data: fetch this one with one more
+      // burst. The tag check above decided the serve; the burst only adds
+      // latency.
+      non_mru_hits_++;
+      txn.state = kWayFetch;
+      SendHbm(TxnIndex(txn), tags_.HbmAddr(set, txn.addr, way),
+              /*is_write=*/false, now);
+      return;
+    }
     CompleteRead(txn, c.done);
-    RecordReadHitUpdate(txn.addr, set, now);
     FreeTxn(txn);
     return;
   }
@@ -360,7 +408,8 @@ void RedCacheController::HandleProbeResult(Txn& txn, const DramCompletion& c,
   misses_++;
   if (opt_.gamma_enabled) CheckPrematureInvalidation(txn.addr);
   if (txn.is_writeback) {
-    if (line.valid && line.dirty) {
+    const TagStore::Line& victim = tags_.line(set, tags_.VictimWay(set));
+    if (victim.valid && victim.dirty) {
       // Fig. 7: miss with a dirty resident — send the write to main memory
       // directly; no fill, no victim round trip.
       dirty_miss_bypasses_++;
@@ -368,7 +417,7 @@ void RedCacheController::HandleProbeResult(Txn& txn, const DramCompletion& c,
       NotifyMmWrite(txn.addr);
       SendMm(kPostedOp, txn.addr, /*is_write=*/true, now);
     } else {
-      Fill(txn.addr, /*dirty=*/true, now);
+      Fill(txn.addr, /*dirty=*/true, txn.aux, now);
     }
     FreeTxn(txn);
     return;
@@ -386,11 +435,15 @@ void RedCacheController::OnDeviceComplete(Txn& txn, bool /*from_hbm*/,
     case kMissFetch:
       NotifyServeRead(txn, ServeSource::kMainMemory);
       CompleteRead(txn, c.done);
-      Fill(txn.addr, /*dirty=*/false, now);
+      Fill(txn.addr, /*dirty=*/false, txn.aux, now);
       FreeTxn(txn);
       return;
     case kDirectFetch:
       NotifyServeRead(txn, ServeSource::kMainMemory);
+      CompleteRead(txn, c.done);
+      FreeTxn(txn);
+      return;
+    case kWayFetch:
       CompleteRead(txn, c.done);
       FreeTxn(txn);
       return;
@@ -437,14 +490,6 @@ Cycle RedCacheController::PolicyWake(Cycle now) const {
   return rcu_.IdleDrainDue(HbmChannelIdle()) ? now + 1 : kNeverWake;
 }
 
-std::uint64_t RedCacheController::ResidentLines() const {
-  std::uint64_t resident = 0;
-  for (std::uint64_t s = 0; s < tags_.num_sets(); ++s) {
-    resident += tags_.line(s).valid ? 1 : 0;
-  }
-  return resident;
-}
-
 void RedCacheController::MaybeRetune(Cycle now) {
   if (epoch_request_count_ < opt_.epoch_requests) return;
   epoch_request_count_ = 0;
@@ -468,7 +513,7 @@ void RedCacheController::SampleTelemetry(StatSet& out) const {
   out.Counter("gauge.alpha_pages_hot") = alpha_.pages_hot();
   out.Counter("gauge.alpha_pages_tracked") = alpha_.pages_tracked();
   out.Counter("gauge.rcu_depth") = rcu_.size();
-  out.Counter("gauge.resident_lines") = ResidentLines();
+  out.Counter("gauge.resident_lines") = resident_;
 }
 
 void RedCacheController::ExportOwnStats(StatSet& stats) const {
@@ -479,7 +524,7 @@ void RedCacheController::ExportOwnStats(StatSet& stats) const {
   stats.Counter("ctrl.fills") = fills_;
   stats.Counter("ctrl.victim_writebacks") = victim_writebacks_;
   stats.Counter("ctrl.evictions") = departures_;
-  stats.Counter("ctrl.resident_lines") = ResidentLines();
+  stats.Counter("ctrl.resident_lines") = resident_;
   stats.Counter("ctrl.alpha_bypasses") = alpha_bypasses_;
   stats.Counter("ctrl.refresh_bypasses") = refresh_bypasses_;
   stats.Counter("ctrl.gamma_invalidations") = gamma_invalidations_;
@@ -505,6 +550,12 @@ void RedCacheController::ExportOwnStats(StatSet& stats) const {
   stats.Counter("ctrl.rcu_data_accesses") =
       rcu_.inserts() + rcu_.block_hits() + rcu_.merged_flushes() +
       rcu_.idle_flushes() + rcu_.capacity_flushes();
+  if (tags_.ways() > 1) {
+    // Probe-served read hits vs those that needed a second data burst.
+    stats.Counter("ctrl.mru_hits") =
+        read_hits_ - rcu_served_reads_ - non_mru_hits_;
+    stats.Counter("ctrl.non_mru_hits") = non_mru_hits_;
+  }
 }
 
 void RedCacheController::SnapshotPolicy(ser::Writer& w) const {
@@ -521,21 +572,8 @@ void RedCacheController::SnapshotPolicy(ser::Writer& w) const {
   w.U64(epoch_departures_);
   w.U64(epoch_dead_departures_);
   w.U64Seq(recent_invalidations_);
-  w.U64(hits_);
-  w.U64(misses_);
-  w.U64(read_hits_);
-  w.U64(write_hits_);
-  w.U64(fills_);
-  w.U64(victim_writebacks_);
-  w.U64(departures_);
-  w.U64(alpha_bypasses_);
-  w.U64(refresh_bypasses_);
-  w.U64(gamma_invalidations_);
-  w.U64(dirty_miss_bypasses_);
-  w.U64(write_miss_bypasses_);
-  w.U64(rcu_served_reads_);
-  w.U64(immediate_updates_);
-  w.U64(insitu_updates_);
+  for (const std::uint64_t* c : CheckpointCounters(*this)) w.U64(*c);
+  if (tags_.ways() > 1) w.U64(non_mru_hits_);
 }
 
 void RedCacheController::RestorePolicy(ser::Reader& r) {
@@ -556,21 +594,9 @@ void RedCacheController::RestorePolicy(ser::Reader& r) {
     throw ser::SerializeError("invalidation signature size mismatch");
   }
   for (Addr& a : recent_invalidations_) a = r.U64();
-  hits_ = r.U64();
-  misses_ = r.U64();
-  read_hits_ = r.U64();
-  write_hits_ = r.U64();
-  fills_ = r.U64();
-  victim_writebacks_ = r.U64();
-  departures_ = r.U64();
-  alpha_bypasses_ = r.U64();
-  refresh_bypasses_ = r.U64();
-  gamma_invalidations_ = r.U64();
-  dirty_miss_bypasses_ = r.U64();
-  write_miss_bypasses_ = r.U64();
-  rcu_served_reads_ = r.U64();
-  immediate_updates_ = r.U64();
-  insitu_updates_ = r.U64();
+  for (std::uint64_t* c : CheckpointCounters(*this)) *c = r.U64();
+  if (tags_.ways() > 1) non_mru_hits_ = r.U64();
+  resident_ = tags_.CountValid();
 }
 
 }  // namespace redcache

@@ -16,8 +16,15 @@
 //
 // Option flags turn individual mechanisms off to model the paper's
 // Red-Alpha / Red-Gamma / Red-Basic / Red-InSitu ablation variants.
+//
+// `ways` > 1 runs the same machinery on an N-way LRU organization (an
+// extension along the authors' R-Cache direction): the probe read returns
+// the set's tags together with the MRU way's data, a hit on any other way
+// costs one extra data burst, fills replace the LRU way, and a dirty victim
+// needs its own data read unless it is the way the probe returned.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <vector>
 
@@ -81,16 +88,17 @@ struct RedCacheOptions {
 
 class RedCacheController : public ControllerBase {
  public:
+  /// `ways` >= 1. Throws std::invalid_argument when the HBM capacity holds
+  /// fewer lines than one set needs.
   RedCacheController(MemControllerConfig cfg, RedCacheOptions options,
+                     std::uint32_t ways = 1,
                      const char* display_name = "redcache");
 
   const char* name() const override { return display_name_; }
 
   const AlphaTable& alpha() const { return alpha_; }
-  const GammaController& gamma() const { return gamma_; }
   const RcuManager& rcu() const { return rcu_; }
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
+  const TagStore& tags() const { return tags_; }
 
  protected:
   void StartTxn(Txn& txn, Cycle now) override;
@@ -108,26 +116,38 @@ class RedCacheController : public ControllerBase {
 
  private:
   void HandleProbeResult(Txn& txn, const DramCompletion& c, Cycle now);
-  void RecordReadHitUpdate(Addr block, std::uint64_t set, Cycle now);
+  void RecordReadHitUpdate(Addr block, std::uint64_t set, std::uint32_t way,
+                           Cycle now);
   /// `reason` is an obs::kRcuFlush* constant, recorded in the event trace.
   void FlushRcuEntries(const std::vector<RcuManager::Entry>& entries,
                        Cycle now, std::uint64_t reason);
-  /// Drop the resident of `set`. `lifetime_sample` feeds the block's final
-  /// r-count to gamma (true only for natural evictions — gamma's own kills
-  /// are truncated lifetimes and must not be sampled).
-  void InvalidateBlock(std::uint64_t set, bool lifetime_sample);
+  /// Drop the resident of (set, way). `lifetime_sample` feeds the block's
+  /// final r-count to gamma (true only for natural evictions — gamma's own
+  /// kills are truncated lifetimes and must not be sampled).
+  void InvalidateBlock(std::uint64_t set, std::uint32_t way,
+                       bool lifetime_sample);
   void NoteGammaInvalidation(Addr block);
   void CheckPrematureInvalidation(Addr block);
-  void Fill(Addr addr, bool dirty, Cycle now);
+  /// Install `addr` into its set's victim way. `probed_way` is the way
+  /// whose data the probe returned: a dirty victim elsewhere costs a read.
+  void Fill(Addr addr, bool dirty, std::uint32_t probed_way, Cycle now);
   void RouteToMainMemory(Txn& txn, Cycle now);
   /// Mean r-count of blocks that left the cache this epoch.
   void MaybeRetune(Cycle now);
-  /// Valid lines currently resident (fills == departures + resident).
-  std::uint64_t ResidentLines() const;
+  /// The counters in checkpoint order, shared by Snapshot/RestorePolicy.
+  template <typename Self>
+  static auto CheckpointCounters(Self& s) {
+    return std::array{&s.hits_, &s.misses_, &s.read_hits_, &s.write_hits_,
+                      &s.fills_, &s.victim_writebacks_, &s.departures_,
+                      &s.alpha_bypasses_, &s.refresh_bypasses_,
+                      &s.gamma_invalidations_, &s.dirty_miss_bypasses_,
+                      &s.write_miss_bypasses_, &s.rcu_served_reads_,
+                      &s.immediate_updates_, &s.insitu_updates_};
+  }
 
   RedCacheOptions opt_;
   const char* display_name_;
-  DirectMappedTags tags_;
+  TagStore tags_;
   AlphaTable alpha_;
   GammaController gamma_;
   RcuManager rcu_;
@@ -154,6 +174,11 @@ class RedCacheController : public ControllerBase {
   std::uint64_t fills_ = 0;
   std::uint64_t victim_writebacks_ = 0;
   std::uint64_t departures_ = 0;  ///< valid lines dropped, any cause
+  /// Valid lines in tags_ (fills == departures + resident), kept where a
+  /// line turns valid or invalid so telemetry epochs do not scan the tag
+  /// store. Derived state: not checkpointed, recounted on restore.
+  std::uint64_t resident_ = 0;
+  std::uint64_t non_mru_hits_ = 0;  ///< ways > 1: needed an extra burst
   std::uint64_t alpha_bypasses_ = 0;
   std::uint64_t refresh_bypasses_ = 0;
   std::uint64_t gamma_invalidations_ = 0;

@@ -63,7 +63,7 @@ void TicTocController::OnDeviceComplete(Txn& txn, bool /*from_hbm*/,
   switch (txn.state) {
     case kProbe: {
       const bool hit = tags_.Hit(txn.addr);
-      DirectMappedTags::Line& line = tags_.line(set);
+      TagStore::Line& line = tags_.line(set);
       if (hit) {
         hits_++;
         if (txn.is_writeback) {

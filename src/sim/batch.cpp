@@ -374,7 +374,7 @@ std::string CellKey(const CellSpec& cell) {
   const RunSpec& spec = cell.spec;
   std::string key = spec.preset.name;
   key += '_';
-  key += PolicyNameOf(spec);  // == ToString(spec.arch) for enum-based cells
+  key += spec.policy;
   key += '_';
   key += spec.workload;
   key += '_';

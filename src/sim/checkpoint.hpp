@@ -24,7 +24,9 @@ namespace redcache::ckpt {
 
 /// Bump when the blob layout (header or any component's Snapshot encoding)
 /// changes; a version mismatch on restore throws instead of misreading.
-constexpr std::uint32_t kCheckpointVersion = 1;
+/// v2: the N-way RedCache policies snapshot through RedCacheController (its
+/// "redc" section and tag store) instead of a separate controller's.
+constexpr std::uint32_t kCheckpointVersion = 2;
 
 struct CheckpointMeta {
   std::uint32_t version = 0;

@@ -23,7 +23,7 @@ double EffectiveScale(double scale) {
 }
 
 std::string PolicyNameOf(const RunSpec& spec) {
-  return spec.policy.empty() ? ToString(spec.arch) : spec.policy;
+  return spec.policy;
 }
 
 namespace {

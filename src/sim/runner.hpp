@@ -1,10 +1,10 @@
 // Convenience layer used by benches, examples and integration tests:
-// build a System for (architecture, workload, preset) and run it.
+// build a System for (policy, workload, preset) and run it.
 #pragma once
 
 #include <string>
 
-#include "dramcache/factory.hpp"
+#include "dramcache/policy_registry.hpp"
 #include "obs/epoch_sampler.hpp"
 #include "sim/presets.hpp"
 #include "sim/system.hpp"
@@ -14,11 +14,8 @@
 namespace redcache {
 
 struct RunSpec {
-  Arch arch = Arch::kAlloy;
-  /// Registry policy name (see dramcache/policy_registry.hpp). When empty
-  /// the policy is derived from `arch` via ToString, so existing enum-based
-  /// call sites (and their cache/golden keys) behave exactly as before.
-  std::string policy;
+  /// Registry policy name (see dramcache/policy_registry.hpp).
+  std::string policy = "Alloy";
   std::string workload = "LU";
   SimPreset preset = EvalPreset();
   /// Workload size multiplier. Benches also honor the REDCACHE_REFS_SCALE
@@ -72,8 +69,7 @@ struct RunSpec {
 /// `scale` combined with the REDCACHE_REFS_SCALE environment variable.
 double EffectiveScale(double scale);
 
-/// The registry policy name this spec resolves to: `spec.policy`, or
-/// ToString(spec.arch) when the policy field is empty.
+/// The registry policy name this spec runs: `spec.policy`.
 std::string PolicyNameOf(const RunSpec& spec);
 
 /// Run identification for the spec's telemetry artifacts: arch/workload/

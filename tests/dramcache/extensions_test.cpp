@@ -1,10 +1,14 @@
-// Tests for the extension controllers: the set-associative RedCache and
+// Tests for the extension organizations: the set-associative RedCache and
 // the coarse-grained footprint cache baseline.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "common/serialize.hpp"
 #include "controller_harness.hpp"
-#include "dramcache/assoc_redcache.hpp"
 #include "dramcache/footprint.hpp"
+#include "dramcache/redcache.hpp"
+#include "verify/shadow_checker.hpp"
 
 namespace redcache {
 namespace {
@@ -18,9 +22,9 @@ RedCacheOptions PlainOptions() {
   return o;
 }
 
-std::unique_ptr<AssocRedCacheController> MakeAssoc(std::uint32_t ways,
-                                                   RedCacheOptions o) {
-  return std::make_unique<AssocRedCacheController>(SmallMemConfig(), o, ways);
+std::unique_ptr<RedCacheController> MakeAssoc(std::uint32_t ways,
+                                              RedCacheOptions o) {
+  return std::make_unique<RedCacheController>(SmallMemConfig(), o, ways);
 }
 
 // --- Associative RedCache ---------------------------------------------------
@@ -110,6 +114,27 @@ TEST(AssocRedCache, DirtyVictimWrittenBack) {
   const StatSet s = h.Stats();
   EXPECT_EQ(s.GetCounter("ctrl.victim_writebacks"), 1u);
   EXPECT_GE(s.GetCounter("ddr4.write_bursts"), 1u);
+  // Three probes and no victim read: the probe returned the victim's data.
+  EXPECT_EQ(s.GetCounter("hbm.read_bursts"), 3u);
+}
+
+TEST(AssocRedCache, DirtyVictimOffTheProbedWayCostsARead) {
+  ControllerHarness h(MakeAssoc(2, PlainOptions()));
+  const Addr a = 0x4000;
+  const Addr b = a + 512_KiB;  // same set, other way
+  h.Read(a);
+  h.Read(b);
+  h.RunToIdle();
+  h.Writeback(a);  // a dirty and MRU
+  h.RunToIdle();
+  h.Read(b);  // b MRU: a is now the dirty LRU victim
+  h.RunToIdle();
+  const auto reads_before = h.Stats().GetCounter("hbm.read_bursts");
+  h.Read(a + 1_MiB);  // probe returns b's data; evicting a needs a read
+  h.RunToIdle();
+  const StatSet s = h.Stats();
+  EXPECT_EQ(s.GetCounter("ctrl.victim_writebacks"), 1u);
+  EXPECT_EQ(s.GetCounter("hbm.read_bursts"), reads_before + 2);
 }
 
 TEST(AssocRedCache, AlphaBypassStillApplies) {
@@ -123,6 +148,59 @@ TEST(AssocRedCache, AlphaBypassStillApplies) {
   const StatSet s = h.Stats();
   EXPECT_EQ(s.GetCounter("ctrl.alpha_bypasses"), 1u);
   EXPECT_EQ(s.GetCounter("hbm.read_bursts"), 0u);
+}
+
+// The alpha table never un-qualifies a page, so a resident block on a cold
+// page comes only from restored state: the 2-way controller under a strict
+// ShadowChecker warms the page and makes block `x` dirty-resident, then
+// takes the tag state of a twin that ran with alpha off (same block dirty,
+// empty alpha table). A read of `x` must still come from the cache, and a
+// bypassed writeback must drop the cached copy.
+TEST(AssocRedCache, ColdPageDirtyCopyStaysCoherent) {
+  RedCacheOptions o = PlainOptions();
+  o.alpha_enabled = true;
+  o.alpha.initial_alpha = 1;  // 64 requests qualify a page
+  o.alpha.adaptive = false;
+  const Addr x = 0x9000;
+  const Addr page = x & ~Addr{4095};
+
+  auto owned = MakeAssoc(2, o);
+  RedCacheController* inner = owned.get();
+  ControllerHarness h(std::make_unique<ShadowChecker>(std::move(owned)));
+  RedCacheOptions no_alpha = o;
+  no_alpha.alpha_enabled = false;
+  ControllerHarness twin(MakeAssoc(2, no_alpha));
+  for (Addr i = 0; i < 64; ++i) h.Read(page + 64 * (1 + i % 63));
+  for (ControllerHarness* c : {&h, &twin}) {
+    c->Read(x);
+    c->RunToIdle();
+    c->Writeback(x);  // dirty hit
+    c->RunToIdle();
+  }
+  ASSERT_GT(h.Stats().GetCounter("verify.model_events"), 0u);
+  ser::Writer w;
+  twin.ctrl().Snapshot(w);
+  const std::string blob = w.TakeString();
+  ser::Reader r(blob);
+  inner->Restore(r);
+  ASSERT_TRUE(inner->tags().Hit(x));
+  ASSERT_FALSE(inner->alpha().IsHot(x));
+
+  const auto mm_reads = h.Stats().GetCounter("ddr4.read_bursts");
+  h.Read(x);  // cold page, dirty resident: only the cache has the data
+  h.RunToIdle();
+  EXPECT_EQ(h.Stats().GetCounter("ddr4.read_bursts"), mm_reads);
+  h.Writeback(x);  // cold page: main memory takes the data
+  h.RunToIdle();
+  EXPECT_FALSE(inner->tags().Hit(x));
+  h.Read(x);
+  h.RunToIdle();
+  EXPECT_EQ(h.Stats().GetCounter("verify.divergences"), 0u);
+}
+
+TEST(AssocRedCache, MoreWaysThanLinesIsRejected) {
+  // 1 MiB holds 16384 lines: 32768 ways leave no set.
+  EXPECT_THROW(MakeAssoc(32768, PlainOptions()), std::invalid_argument);
 }
 
 TEST(AssocRedCache, HigherAssociativityRaisesHitRateUnderConflicts) {

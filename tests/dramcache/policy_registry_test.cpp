@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "controller_harness.hpp"
-#include "dramcache/factory.hpp"
 
 namespace redcache {
 namespace {
@@ -106,13 +105,13 @@ TEST(PolicyRegistry, RivalFamiliesAreFullyEnrolled) {
   }
 }
 
-TEST(PolicyRegistry, ArchFactoryDelegatesToRegistry) {
-  for (Arch a : EvaluationArchs()) {
-    auto via_arch = MakeController(a, SmallMemConfig());
-    auto via_name = MakePolicy(ToString(a), SmallMemConfig());
-    ASSERT_NE(via_arch, nullptr);
-    ASSERT_NE(via_name, nullptr);
-    EXPECT_STREQ(via_arch->name(), via_name->name()) << ToString(a);
+TEST(PolicyRegistry, EvaluationListMatchesPaperFigures) {
+  const auto& policies = EvaluationPolicies();
+  ASSERT_EQ(policies.size(), 7u);
+  EXPECT_EQ(policies.front(), "Alloy");  // normalization baseline
+  EXPECT_EQ(policies.back(), "RedCache");
+  for (const std::string& name : policies) {
+    EXPECT_TRUE(PolicyRegistry::Instance().Has(name)) << name;
   }
 }
 

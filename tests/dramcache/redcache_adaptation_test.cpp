@@ -16,7 +16,7 @@ RedCacheOptions NoAlpha() {
 }
 
 std::unique_ptr<RedCacheController> Make(RedCacheOptions o) {
-  return std::make_unique<RedCacheController>(SmallMemConfig(), o, "t");
+  return std::make_unique<RedCacheController>(SmallMemConfig(), o, 1, "t");
 }
 
 TEST(RedCacheAdaptation, PrematureInvalidationRaisesGamma) {

@@ -21,7 +21,7 @@ RedCacheOptions NoAlphaOptions() {
 
 std::unique_ptr<RedCacheController> Make(RedCacheOptions o,
                                          const char* name = "test") {
-  return std::make_unique<RedCacheController>(SmallMemConfig(), o, name);
+  return std::make_unique<RedCacheController>(SmallMemConfig(), o, 1, name);
 }
 
 // --- Alpha counting ---------------------------------------------------------

@@ -3,6 +3,8 @@
 // keep its internal accounting consistent, and stay deterministic.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <tuple>
 
 #include "sim/runner.hpp"
@@ -10,13 +12,25 @@
 namespace redcache {
 namespace {
 
-using Param = std::tuple<Arch, std::string>;
+constexpr const char* kPolicies[] = {
+    "No-HBM",    "IDEAL",     "Alloy",      "Bear",     "Red-Alpha",
+    "Red-Gamma", "Red-Basic", "Red-InSitu", "RedCache",
+};
+
+/// Index into kPolicies. The matrix carries the index rather than the name
+/// so each case's test id, which prints the raw parameter bytes, stays the
+/// same as when the matrix was keyed by an enum of these nine systems.
+struct PolicyIndex {
+  std::uint32_t i;
+};
+
+using Param = std::tuple<PolicyIndex, std::string>;
 
 class ArchInvariants : public ::testing::TestWithParam<Param> {};
 
-RunSpec SmallSpec(Arch arch, const std::string& wl) {
+RunSpec SmallSpec(PolicyIndex policy, const std::string& wl) {
   RunSpec spec;
-  spec.arch = arch;
+  spec.policy = kPolicies[policy.i];
   spec.workload = wl;
   spec.scale = 0.05;
   spec.preset = EvalPreset();
@@ -25,8 +39,8 @@ RunSpec SmallSpec(Arch arch, const std::string& wl) {
 }
 
 TEST_P(ArchInvariants, CompletesAndConserves) {
-  const auto [arch, wl] = GetParam();
-  const RunResult r = RunOne(SmallSpec(arch, wl));
+  const auto [policy, wl] = GetParam();
+  const RunResult r = RunOne(SmallSpec(policy, wl));
   ASSERT_TRUE(r.completed);
   EXPECT_GT(r.exec_cycles, 0u);
 
@@ -41,7 +55,7 @@ TEST_P(ArchInvariants, CompletesAndConserves) {
                       r.stats.GetCounter("core.misses"));
 
   // Off-chip devices only move whole bursts.
-  if (arch != Arch::kIdeal) {
+  if (std::string(kPolicies[policy.i]) != "IDEAL") {
     EXPECT_GT(r.stats.GetCounter("ddr4.transactions"), 0u) << "below-L3 "
         "traffic must reach main memory for non-ideal systems";
   }
@@ -49,9 +63,9 @@ TEST_P(ArchInvariants, CompletesAndConserves) {
 }
 
 TEST_P(ArchInvariants, Deterministic) {
-  const auto [arch, wl] = GetParam();
-  const RunResult a = RunOne(SmallSpec(arch, wl));
-  const RunResult b = RunOne(SmallSpec(arch, wl));
+  const auto [policy, wl] = GetParam();
+  const RunResult a = RunOne(SmallSpec(policy, wl));
+  const RunResult b = RunOne(SmallSpec(policy, wl));
   EXPECT_EQ(a.exec_cycles, b.exec_cycles);
   EXPECT_EQ(a.stats.GetCounter("hbm.bytes_transferred"),
             b.stats.GetCounter("hbm.bytes_transferred"));
@@ -61,16 +75,16 @@ TEST_P(ArchInvariants, Deterministic) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, ArchInvariants,
-    ::testing::Combine(::testing::Values(Arch::kNoHbm, Arch::kIdeal,
-                                         Arch::kAlloy, Arch::kBear,
-                                         Arch::kRedAlpha, Arch::kRedGamma,
-                                         Arch::kRedBasic, Arch::kRedInSitu,
-                                         Arch::kRedCache),
+    ::testing::Combine(::testing::Values(PolicyIndex{0}, PolicyIndex{1},
+                                         PolicyIndex{2}, PolicyIndex{3},
+                                         PolicyIndex{4}, PolicyIndex{5},
+                                         PolicyIndex{6}, PolicyIndex{7},
+                                         PolicyIndex{8}),
                        ::testing::Values(std::string("LREG"),
                                          std::string("RDX"),
                                          std::string("BRN"))),
     [](const ::testing::TestParamInfo<Param>& info) {
-      std::string name = std::string(ToString(std::get<0>(info.param))) +
+      std::string name = std::string(kPolicies[std::get<0>(info.param).i]) +
                          "_" + std::get<1>(info.param);
       for (char& c : name) {
         if (c == '-') c = '_';

@@ -46,14 +46,14 @@ std::string Serialize(const RunResult& r) {
 
 std::vector<RunSpec> Matrix() {
   // 6 architectures x 3 workloads, tiny but nonzero runs.
-  const Arch archs[] = {Arch::kNoHbm, Arch::kIdeal,    Arch::kAlloy,
-                        Arch::kBear,  Arch::kRedAlpha, Arch::kRedCache};
+  const char* policies[] = {"No-HBM", "IDEAL",     "Alloy",
+                            "Bear",   "Red-Alpha", "RedCache"};
   const char* wls[] = {"LU", "RDX", "HIST"};
   std::vector<RunSpec> specs;
-  for (Arch a : archs) {
+  for (const char* p : policies) {
     for (const char* wl : wls) {
       RunSpec s;
-      s.arch = a;
+      s.policy = p;
       s.workload = wl;
       s.scale = 0.02;
       s.ignore_env_scale = true;  // immune to REDCACHE_REFS_SCALE in CI
@@ -81,7 +81,7 @@ TEST(Batch, DeterministicAcrossWorkerCounts) {
   ASSERT_EQ(par.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_EQ(Serialize(base[i]), Serialize(par[i]))
-        << "cell " << i << " (" << ToString(specs[i].arch) << "/"
+        << "cell " << i << " (" << specs[i].policy << "/"
         << specs[i].workload << ") diverged between jobs=1 and jobs=8";
   }
 }
@@ -90,7 +90,7 @@ TEST(Batch, RunCellsMatchesRunBatchAndSharesDuplicates) {
   // The same cell requested twice must produce the same object both times
   // and agree with the uncached path.
   RunSpec s;
-  s.arch = Arch::kAlloy;
+  s.policy = "Alloy";
   s.workload = "FT";
   s.scale = 0.02;
   s.ignore_env_scale = true;
@@ -113,7 +113,7 @@ TEST(Batch, CellKeyDistinguishesEverythingThatMattersToResults) {
   CellSpec a{s, ""};
 
   CellSpec b = a;
-  b.spec.arch = Arch::kBear;
+  b.spec.policy = "Bear";
   EXPECT_NE(CellKey(a), CellKey(b));
 
   CellSpec c = a;
@@ -174,7 +174,7 @@ TEST(Batch, DiskCacheRoundTripsAndRejectsBadFingerprint) {
   ASSERT_EQ(::setenv("REDCACHE_CACHE_DIR", dir.c_str(), 1), 0);
 
   RunSpec s;
-  s.arch = Arch::kBear;
+  s.policy = "Bear";
   s.workload = "RDX";
   s.scale = 0.02;
   s.ignore_env_scale = true;
@@ -240,7 +240,7 @@ TEST(Batch, DiskCacheRoundTripsHistograms) {
   ASSERT_EQ(::setenv("REDCACHE_CACHE_DIR", dir.c_str(), 1), 0);
 
   RunSpec s;
-  s.arch = Arch::kAlloy;
+  s.policy = "Alloy";
   s.workload = "RDX";
   s.scale = 0.02;
   s.ignore_env_scale = true;
@@ -309,7 +309,7 @@ TEST(Batch, DiskCacheCorruptEntryIsMissAndRepaired) {
   ASSERT_EQ(::setenv("REDCACHE_CACHE_DIR", dir.c_str(), 1), 0);
 
   RunSpec s;
-  s.arch = Arch::kBear;
+  s.policy = "Bear";
   s.workload = "LREG";
   s.scale = 0.02;
   s.ignore_env_scale = true;
@@ -368,7 +368,7 @@ TEST(Batch, WorkerExceptionsPropagateToCaller) {
   // the calling thread — not std::terminate from a worker.
   std::vector<RunSpec> specs(4);
   for (auto& s : specs) {
-    s.arch = Arch::kNoHbm;
+    s.policy = "No-HBM";
     s.workload = "LU";
     s.scale = 0.01;
     s.ignore_env_scale = true;
@@ -443,7 +443,7 @@ TEST(Batch, DiskCacheHitRefreshesRecencyAndProfilesAsDiskHit) {
   ASSERT_EQ(::setenv("REDCACHE_CACHE_DIR", dir.c_str(), 1), 0);
 
   RunSpec s;
-  s.arch = Arch::kAlloy;
+  s.policy = "Alloy";
   s.workload = "RDX";
   s.scale = 0.02;
   s.ignore_env_scale = true;
@@ -486,7 +486,7 @@ TEST(Batch, DiskCacheHitRefreshesRecencyAndProfilesAsDiskHit) {
 
 TEST(Batch, RunCellsFillsBatchReport) {
   RunSpec s;
-  s.arch = Arch::kNoHbm;
+  s.policy = "No-HBM";
   s.workload = "HIST";
   s.scale = 0.02;
   s.ignore_env_scale = true;

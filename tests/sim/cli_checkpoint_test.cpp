@@ -1,3 +1,5 @@
+// Tests that drive the real CLI binary.
+//
 // Fresh-process checkpoint differential: the acceptance-critical variant
 // of the round-trip tests runs the real CLI binary twice — one process
 // writes the checkpoint, a second process restores it — and requires the
@@ -116,6 +118,29 @@ TEST(CliCheckpoint, SampledRunReportsConfidenceInterval) {
 
   std::remove(out.c_str());
   std::remove(report.c_str());
+  ::rmdir(dir.c_str());
+}
+
+// The --ways flag and the registered N-way policy build the same
+// controller, so their full stats dumps (summary line included) agree.
+TEST(CliPolicy, WaysFlagMatchesRegisteredNWayPolicy) {
+  char tmpl[] = "/tmp/redcache_cli_ways_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  const std::string out_a = dir + "/policy.txt";
+  const std::string out_b = dir + "/ways.txt";
+  const std::string common = " --workload LU --scale 0.05 --stats";
+
+  ASSERT_EQ(RunCli("--policy RedCache-4way" + common, out_a), 0)
+      << ReadAll(out_a);
+  ASSERT_EQ(RunCli("--policy RedCache --ways 4" + common, out_b), 0)
+      << ReadAll(out_b);
+  const std::string a = ReadAll(out_a);
+  EXPECT_NE(a.find("ctrl.non_mru_hits"), std::string::npos) << a;
+  EXPECT_EQ(a, ReadAll(out_b));
+
+  std::remove(out_a.c_str());
+  std::remove(out_b.c_str());
   ::rmdir(dir.c_str());
 }
 

@@ -109,16 +109,16 @@ TEST(RefModel, RcuServeOfPreWriteCopyIsStale) {
 // --- end-to-end positive: instrumented policies are divergence-free -------
 
 TEST(ShadowChecker, FullRunsAreDivergenceFree) {
-  for (Arch arch : {Arch::kRedCache, Arch::kBear}) {
+  for (const char* policy : {"RedCache", "Bear"}) {
     RunSpec spec;
-    spec.arch = arch;
+    spec.policy = policy;
     spec.workload = "IS";
     spec.scale = 0.02;
     spec.verify = true;  // strict: any divergence throws
     const RunResult r = RunOne(spec);
-    EXPECT_TRUE(r.completed) << ToString(arch);
-    EXPECT_EQ(r.stats.GetCounter("verify.divergences"), 0u) << ToString(arch);
-    EXPECT_GT(r.stats.GetCounter("verify.model_events"), 0u) << ToString(arch);
+    EXPECT_TRUE(r.completed) << policy;
+    EXPECT_EQ(r.stats.GetCounter("verify.divergences"), 0u) << policy;
+    EXPECT_GT(r.stats.GetCounter("verify.model_events"), 0u) << policy;
   }
 }
 
@@ -133,7 +133,7 @@ std::unique_ptr<MemController> LeakyRedCache(bool drop_victims) {
   opt.update_mode = RedCacheOptions::UpdateMode::kInSitu;
   opt.bypass_on_refresh = false;
   opt.testing_drop_victim_writeback = drop_victims;
-  return std::make_unique<RedCacheController>(SmallMemConfig(), opt,
+  return std::make_unique<RedCacheController>(SmallMemConfig(), opt, 1,
                                               "leaky-redcache");
 }
 

@@ -1,16 +1,19 @@
 // redcache_cli — the swiss-army driver for one-off experiments.
 //
-//   redcache_cli --arch RedCache --workload LU
-//   redcache_cli --arch Alloy --workload RDX --scale 0.5 --stats
-//   redcache_cli --arch RedCache --ways 4 --workload FT
+//   redcache_cli --policy RedCache --workload LU
+//   redcache_cli --policy Alloy --workload RDX --scale 0.5 --stats
+//   redcache_cli --policy RedCache-4way --workload FT   # = --ways 4
 //   redcache_cli --footprint --workload HIST
 //   redcache_cli --capture lu.rctr --workload LU        # snapshot a trace
-//   redcache_cli --arch Bear --replay lu.rctr           # replay it
-//   redcache_cli --arch RedCache --workload LU
+//   redcache_cli --policy Bear --replay lu.rctr         # replay it
+//   redcache_cli --policy RedCache --workload LU
 //       --telemetry t.json --trace t.perfetto.json      # observability
 //   redcache_cli --sweep --jobs 4                       # full eval matrix
-//   redcache_cli --sweep --archs Alloy,RedCache --workloads LU,RDX
-//   redcache_cli --list
+//   redcache_cli --sweep --policies Alloy,RedCache --workloads LU,RDX
+//   redcache_cli --list                                 # policy names
+//
+// Policies are registry names (--list); --arch/--archs are aliases of
+// --policy/--policies.
 //
 // Exit code 0 on success; prints a one-line summary plus optional full
 // counter dump.
@@ -26,9 +29,9 @@
 #include <vector>
 
 #include "common/table.hpp"
-#include "dramcache/assoc_redcache.hpp"
 #include "dramcache/footprint.hpp"
 #include "dramcache/policy_registry.hpp"
+#include "dramcache/redcache.hpp"
 #include "obs/epoch_sampler.hpp"
 #include "obs/telemetry_sink.hpp"
 #include "obs/trace.hpp"
@@ -62,7 +65,7 @@ struct CliOptions {
   bool paper_preset = false;
   bool dump_stats = false;
   bool list = false;
-  std::uint32_t ways = 0;         ///< >1 selects the associative RedCache
+  std::uint32_t ways = 0;         ///< >1 selects an N-way RedCache
   bool footprint = false;         ///< coarse-grained baseline
   bool verify = false;            ///< shadow-check the run
   std::optional<std::uint64_t> hbm_mib;
@@ -78,8 +81,8 @@ struct CliOptions {
   std::string restore_path;       ///< --restore blob to resume from
   std::string sample;             ///< --sample P[:INTERVAL] sampled run
   bool no_solo = false;           ///< skip the solo baselines for --mix QoS
-  bool sweep = false;             ///< run an (arch x workload) matrix
-  std::string sweep_archs;        ///< comma list; empty = evaluation archs
+  bool sweep = false;             ///< run a (policy x workload) matrix
+  std::string sweep_archs;        ///< comma list; empty = evaluation set
   std::string sweep_workloads;    ///< comma list; empty = all Table II
   unsigned jobs = 0;              ///< worker threads for --sweep (0 = auto)
 };
@@ -418,14 +421,13 @@ std::string JoinedTenantLabels(const tenant::MixSpec& mix) {
   return joined;
 }
 
-/// --sweep: the (arch x workload) evaluation matrix on the batch engine.
+/// --sweep: the (policy x workload) evaluation matrix on the batch engine.
 /// Cells go through the fingerprinted cache when REDCACHE_CACHE_DIR is set.
-/// Default sweep columns: the paper's seven evaluation archs in their
+/// Default sweep columns: the paper's seven evaluation policies in their
 /// canonical order, then every other registry policy with sweep=true
 /// (rival families like Banshee and TicToc) in registry order.
 std::vector<std::string> DefaultSweepPolicies() {
-  std::vector<std::string> policies;
-  for (const Arch a : EvaluationArchs()) policies.push_back(ToString(a));
+  std::vector<std::string> policies = EvaluationPolicies();
   for (const std::string& name : PolicyRegistry::Instance().SweepNames()) {
     if (std::find(policies.begin(), policies.end(), name) == policies.end()) {
       policies.push_back(name);
@@ -892,17 +894,19 @@ int Run(const CliOptions& opt) {
   // Controller: extension flags first, then the standard registry.
   std::unique_ptr<MemController> ctrl;
   std::string arch_label = opt.arch;
+  std::string display;  // outlives `system`, which owns the controller
   if (opt.footprint) {
     ctrl = std::make_unique<FootprintCacheController>(preset.mem);
     arch_label = "footprint-2KB";
-  } else if (opt.ways > 1) {
-    ctrl = std::make_unique<AssocRedCacheController>(
-        preset.mem, TunedOptions(opt), opt.ways);
-    arch_label = "RedCache-" + std::to_string(opt.ways) + "way";
-  } else if (opt.alpha || opt.gamma) {
-    ctrl = std::make_unique<RedCacheController>(preset.mem, TunedOptions(opt),
-                                                "redcache-pinned");
-    arch_label = "RedCache-pinned";
+  } else if (opt.ways > 1 || opt.alpha || opt.gamma) {
+    // --ways N with default tuning builds exactly the RedCache-Nway policy.
+    const std::uint32_t ways = std::max<std::uint32_t>(opt.ways, 1);
+    const std::string suffix =
+        ways > 1 ? std::to_string(ways) + "way" : std::string("pinned");
+    arch_label = "RedCache-" + suffix;
+    display = "redcache-" + suffix;
+    ctrl = std::make_unique<RedCacheController>(
+        preset.mem, TunedOptions(opt), ways, display.c_str());
   } else {
     // Unknown names fail here with a message listing every registered
     // policy (see PolicyRegistry::Get).
@@ -1031,7 +1035,7 @@ int main(int argc, char** argv) {
     for (const std::string& wl : WorkloadLabels()) {
       std::printf(" %s", wl.c_str());
     }
-    std::printf("\nextensions: --ways N (associative RedCache), "
+    std::printf("\nextensions: --ways N (N-way RedCache), "
                 "--footprint (coarse-grained baseline)\n");
     return 0;
   }
